@@ -12,7 +12,7 @@ from .data import Dataset, SynthSpec, load_dataset, synth_sbm
 from .encoder import EncoderBank, EncoderParams, ViewEmbedding
 from .graphs import Graph, SpectralBasis, build_graph, eigendecompose, normalized_laplacian
 from .solver import DiffusionSpec, solve_caputo_pc, solve_linear_spectral, solve_with_skips
-from .special import dml_dalpha, ml, ml_asymptotic
+from .special import dml_dalpha, ml, ml_asymptotic, ml_spectrum
 from .training import TrainConfig, TrainReport, avla, grad_loss, tune_beta
 
 __version__ = "0.1.0"
@@ -35,6 +35,7 @@ __all__ = [
     "solve_linear_spectral",
     "solve_with_skips",
     "ml",
+    "ml_spectrum",
     "ml_asymptotic",
     "dml_dalpha",
     "TrainConfig",

@@ -16,7 +16,8 @@ from scipy.special import rgamma, zeta
 
 from .encoder import EncoderBank
 from .graphs import Graph, SpectralBasis, eigendecompose, normalized_laplacian, perturb_graph
-from .special import gamma, ml
+from .solver import skip_multiplier, solve_linear_spectral
+from .special import gamma
 
 __all__ = [
     "ProbeConfig",
@@ -320,13 +321,6 @@ def check_theorem_sgi(
         raise ValueError("signal length must match the graph")
     spec_x = basis.eigenvectors.T @ x
 
-    def exact_multiplier(alpha):
-        vals = np.array([ml(alpha, lv, tau) for lv in lam])
-        out = np.zeros_like(vals)
-        for i, e in enumerate(vals):
-            out[i] = sum(e**k for k in range(skip_count + 1))
-        return out
-
     def expansion(alpha, n_s):
         b_rows = []
         asym = np.zeros(len(lam))
@@ -345,8 +339,8 @@ def check_theorem_sgi(
 
     n_s_l = _truncation_order(alpha_local)
     n_s_g = _truncation_order(alpha_global)
-    exact_l = exact_multiplier(alpha_local)
-    exact_g = exact_multiplier(alpha_global)
+    exact_l = skip_multiplier(alpha_local, lam, tau, skip_count)
+    exact_g = skip_multiplier(alpha_global, lam, tau, skip_count)
     b_l, asym_l = expansion(alpha_local, n_s_l)
     b_g, asym_g = expansion(alpha_global, n_s_g)
 
@@ -594,12 +588,6 @@ class StabilityReport:
         }
 
 
-def _spectral_response(basis, alpha, t, state):
-    damp = np.array([ml(alpha, lv, t) for lv in basis.eigenvalues])
-    spec = basis.eigenvectors.T @ state
-    return basis.eigenvectors @ (damp[:, None] * spec)
-
-
 def stability_harness(
     basis: SpectralBasis,
     y0: np.ndarray,
@@ -661,7 +649,7 @@ def stability_harness(
             [
                 np.sqrt(
                     sum(
-                        np.linalg.norm(_spectral_response(basis, a, t, d)) ** 2
+                        np.linalg.norm(solve_linear_spectral(basis, d, a, t)) ** 2
                         for a, d in zip(alphas, deltas)
                     )
                 )
@@ -679,7 +667,7 @@ def stability_harness(
             [
                 np.sqrt(
                     sum(
-                        np.linalg.norm(_spectral_response(basis, a, t, delta)) ** 2
+                        np.linalg.norm(solve_linear_spectral(basis, delta, a, t)) ** 2
                         for a in alphas
                     )
                 )
@@ -702,8 +690,8 @@ def stability_harness(
                 np.sqrt(
                     sum(
                         np.linalg.norm(
-                            _spectral_response(basis, a, t, state)
-                            - _spectral_response(basis2, a, t, state)
+                            solve_linear_spectral(basis, state, a, t)
+                            - solve_linear_spectral(basis2, state, a, t)
                         )
                         ** 2
                         for a in alphas

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .graphs import SpectralBasis
-from .special import MLEvalConfig, ml
+from .special import ml_spectrum
 
 __all__ = [
     "DiffusionSpec",
@@ -26,6 +26,7 @@ __all__ = [
     "solve_linear_spectral",
     "solve_caputo_pc",
     "solve_with_skips",
+    "skip_multiplier",
 ]
 
 
@@ -85,7 +86,6 @@ def solve_linear_spectral(
     y0: np.ndarray,
     alpha: float,
     horizon: float,
-    cfg: MLEvalConfig | None = None,
 ) -> np.ndarray:
     """Exact solution of D^alpha_t Y = -L Y via the eigenbasis of L.
 
@@ -97,7 +97,6 @@ def solve_linear_spectral(
         y0: initial state, shape (N,) or (N, F).
         alpha: fractional order in (0, 1].
         horizon: diffusion time T >= 0.
-        cfg: optional kernel evaluation configuration.
 
     Returns:
         State at time T, same shape as y0.
@@ -110,7 +109,7 @@ def solve_linear_spectral(
         raise ValueError(f"state has {y0.shape[0]} rows, basis expects {basis.n}")
     if horizon == 0.0:
         return y0.copy()
-    damp = np.array([ml(alpha, float(lam), horizon, cfg) for lam in basis.eigenvalues])
+    damp = ml_spectrum(alpha, basis.eigenvalues, horizon)[0]
     coeffs = basis.eigenvectors.T @ y0
     if coeffs.ndim == 1:
         return basis.eigenvectors @ (damp * coeffs)
@@ -198,7 +197,6 @@ def solve_with_skips(
     alpha: float,
     tau: float,
     m: int,
-    cfg: MLEvalConfig | None = None,
 ) -> np.ndarray:
     """Skip-connection composition: m segments of length tau with re-injection.
 
@@ -224,13 +222,23 @@ def solve_with_skips(
     y0 = np.asarray(y0, dtype=float)
     if y0.shape[0] != basis.n:
         raise ValueError(f"state has {y0.shape[0]} rows, basis expects {basis.n}")
-    damp = np.array([ml(alpha, float(lam), tau, cfg) for lam in basis.eigenvalues])
+    mult = skip_multiplier(alpha, basis.eigenvalues, tau, m)
+    coeffs = basis.eigenvectors.T @ y0
+    if coeffs.ndim == 1:
+        return basis.eigenvectors @ (mult * coeffs)
+    return basis.eigenvectors @ (mult[:, None] * coeffs)
+
+
+def skip_multiplier(alpha: float, eigenvalues: np.ndarray, tau: float, m: int) -> np.ndarray:
+    """Per-frequency multiplier of the m-fold skip composition.
+
+    Returns 1 + e + e^2 + ... + e^m with e = e_alpha(lambda_i, tau); the
+    zero frequency gets exactly m + 1.
+    """
+    damp = ml_spectrum(alpha, eigenvalues, tau)[0]
     mult = np.ones_like(damp)
     power = np.ones_like(damp)
     for _ in range(m):
         power = power * damp
         mult = mult + power
-    coeffs = basis.eigenvectors.T @ y0
-    if coeffs.ndim == 1:
-        return basis.eigenvectors @ (mult * coeffs)
-    return basis.eigenvectors @ (mult[:, None] * coeffs)
+    return mult

@@ -22,7 +22,7 @@ from .encoder import (
 )
 from .graphs import SpectralBasis
 from .losses import cosmean, dominant_direction, total_loss
-from .special import dml_dalpha, ml
+from .special import ml_spectrum
 
 __all__ = [
     "TrainConfig",
@@ -161,10 +161,7 @@ def _forward_pieces(basis, features, w_list, alpha_list, horizons, activation):
     lam = basis.eigenvalues
     projected = [features @ w for w in w_list]
     spectra = [u.T @ z for z in projected]
-    damps = [
-        np.array([ml(a, lv, h) for lv in lam])
-        for a, h in zip(alpha_list, horizons)
-    ]
+    damps, sens = zip(*(ml_spectrum(a, lam, h) for a, h in zip(alpha_list, horizons)))
     pre = [u @ (d[:, None] * s) for d, s in zip(damps, spectra)]
     if activation == "relu":
         outs = [np.maximum(p, 0.0) for p in pre]
@@ -174,16 +171,15 @@ def _forward_pieces(basis, features, w_list, alpha_list, horizons, activation):
         masks = [np.ones_like(p) for p in pre]
     else:
         raise ValueError(f"unknown activation {activation!r}")
-    return projected, spectra, damps, outs, masks
+    return projected, spectra, damps, sens, outs, masks
 
 
 def _analytic_loss_and_grads(
     basis, features, w_list, alpha_list, horizons, eta, activation
 ):
     u = basis.eigenvectors
-    lam = basis.eigenvalues
     k = len(w_list)
-    _, spectra, damps, outs, masks = _forward_pieces(
+    _, spectra, damps, sens, outs, masks = _forward_pieces(
         basis, features, w_list, alpha_list, horizons, activation
     )
     states = None
@@ -210,8 +206,7 @@ def _analytic_loss_and_grads(
     for i in range(k):
         d_pre_spec = u.T @ (d_out[i] * masks[i])
         grads_w.append(features.T @ (u @ (damps[i][:, None] * d_pre_spec)))
-        sens = np.array([dml_dalpha(alpha_list[i], lv, horizons[i]) for lv in lam])
-        grads_a.append(float(np.sum(d_pre_spec * (sens[:, None] * spectra[i]))))
+        grads_a.append(float(np.sum(d_pre_spec * (sens[i][:, None] * spectra[i]))))
     return loss, BankGradients(w=tuple(grads_w), alpha=tuple(grads_a))
 
 
@@ -283,7 +278,7 @@ def grad_loss(
     """Gradients of the total contrastive loss over all bank parameters.
 
     Analytic mode chains the loss through the activation, the per-frequency
-    relaxation multipliers (order sensitivity via dml_dalpha), and the
+    relaxation multipliers (order sensitivity from ml_spectrum), and the
     projection.  Finite-difference mode recomputes the loss under small
     parameter bumps; fd_w_coords restricts which weight entries are probed
     (None probes all of them, unprobed entries read 0).

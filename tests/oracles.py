@@ -4,7 +4,9 @@ Everything here is computed with mpmath arbitrary-precision arithmetic via
 algorithms that differ from the production float64 paths: the kernel oracle
 sums the Maclaurin series at 40+ digits (where cancellation is harmless) and
 cross-checks against Talbot inversion of the Laplace transform; derivatives
-come from mpmath's numerical differentiation.
+come from mpmath's numerical differentiation of the series, or from Talbot
+inversion of the transform's order derivative where the series converges
+too slowly.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ def ml_oracle_laplace(alpha: float, lam: float, t: float, dps: int = 40) -> floa
     with mp.workdps(dps):
         a, l = mp.mpf(float(alpha)), mp.mpf(float(lam))
         fp = lambda s: s ** (a - 1) / (s**a + l)
+        return float(mp.invertlaplace(fp, float(t), method="talbot"))
+
+
+def dml_oracle_laplace(alpha: float, lam: float, t: float, dps: int = 40) -> float:
+    """Order derivative via Talbot inversion of lam ln(s) s^(a-1)/(s^a + lam)^2."""
+    with mp.workdps(dps):
+        a, l = mp.mpf(float(alpha)), mp.mpf(float(lam))
+        fp = lambda s: l * mp.log(s) * s ** (a - 1) / (s**a + l) ** 2
         return float(mp.invertlaplace(fp, float(t), method="talbot"))
 
 

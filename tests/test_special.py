@@ -9,10 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfcx
 
-from fracgcl.special import MLEvalConfig, digamma, dml_dalpha, gamma, ml, ml_asymptotic
+from fracgcl.special import digamma, dml_dalpha, gamma, ml, ml_asymptotic, ml_spectrum
 
-from oracles import dml_oracle, gamma_oracle, ml_oracle, ml_oracle_laplace
+from oracles import (
+    dml_oracle,
+    dml_oracle_laplace,
+    gamma_oracle,
+    ml_oracle,
+    ml_oracle_laplace,
+)
 
 SQRT_PI = 1.7724538509055160273
 
@@ -102,6 +111,13 @@ class TestMl:
         expected = math.exp(1.0) * math.erfc(1.0)
         assert abs(ml(0.5, 1.0, 1.0) - expected) < 1e-8
 
+    def test_half_order_erfcx_sweep(self):
+        # e_{1/2}(lam, t) = erfcx(lam sqrt(t)), across the former series/integral
+        # switch near lam sqrt(t) = 3.46
+        for z in np.linspace(0.01, 10.0, 400):
+            t = float(z) ** 2
+            assert abs(ml(0.5, 1.0, t) - erfcx(math.sqrt(t))) < 1e-11, z
+
     def test_frozen_values(self):
         for (alpha, lam, t), expected in ML_FROZEN.items():
             assert ml(alpha, lam, t) == pytest.approx(expected, abs=1e-9), (alpha, lam, t)
@@ -129,15 +145,11 @@ class TestMl:
                 assert all(v > 0.0 for v in vals)
 
     def test_branch_seam_continuity(self):
-        # values straddling the series/integral switch agree to ~1e-10
-        cfg_lo = MLEvalConfig(series_arg_threshold=1e-9)  # force integral
-        cfg_hi = MLEvalConfig(series_arg_threshold=50.0)  # prefer series
+        # points just below the former series/integral switch stay accurate
         for alpha in (0.6, 0.8, 0.95):
             z = min(5.0, 12.0**alpha) * 0.9
             t = (z / 1.0) ** (1.0 / alpha)
-            assert ml(alpha, 1.0, t, cfg_lo) == pytest.approx(
-                ml(alpha, 1.0, t, cfg_hi), abs=1e-10
-            )
+            assert ml(alpha, 1.0, t) == pytest.approx(ml_oracle(alpha, 1.0, t), abs=1e-10)
 
     def test_domain_errors(self):
         for bad_alpha in (0.0, -0.3, 1.2):
@@ -147,12 +159,6 @@ class TestMl:
             ml(0.5, -1.0, 1.0)
         with pytest.raises(ValueError):
             ml(0.5, 1.0, -2.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MLEvalConfig(series_cutoff_terms=5)
-        with pytest.raises(ValueError):
-            MLEvalConfig(series_arg_threshold=0.0)
 
 
 class TestMlAsymptotic:
@@ -236,3 +242,41 @@ class TestDmlDalpha:
             )
             total += term
         assert dml_dalpha(alpha, lam, 1.0) == pytest.approx(total, rel=1e-9)
+
+
+class TestMlSpectrum:
+    def test_clip_floor_matches_laplace_oracle(self):
+        # orders at and below the trainer's clip_eps floor; the Maclaurin
+        # oracle barely converges here, so both checks use Talbot inversion
+        for alpha in (1e-5, 1e-4, 1e-3):
+            for lam in (0.3, 1.0, 2.0):
+                for t in (1.0, 20.0, 1000.0):
+                    val = ml(alpha, lam, t)
+                    assert abs(val - ml_oracle_laplace(alpha, lam, t)) < 1e-12, (alpha, lam, t)
+                    assert dml_dalpha(alpha, lam, t) == pytest.approx(
+                        dml_oracle_laplace(alpha, lam, t), rel=1e-9
+                    ), (alpha, lam, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1e-4, 1.0),
+        lams=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12),
+        t=st.floats(0.0, 1e3),
+        later=st.floats(0.0, 1e3),
+    )
+    def test_properties(self, alpha, lams, t, later):
+        lams = np.sort(np.array(lams))
+        vals, d_dalpha = ml_spectrum(alpha, lams, t)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(vals[(lams == 0.0) | (t == 0.0)] == 1.0)
+        assert np.all(np.diff(vals) <= 1e-12)
+        assert np.all(ml_spectrum(alpha, lams, t + later)[0] <= vals + 1e-12)
+        for lam, v, d in zip(lams, vals, d_dalpha):
+            assert abs(ml(alpha, float(lam), t) - v) <= 1e-14
+            if t > 0.0:
+                assert abs(dml_dalpha(alpha, float(lam), t) - d) <= 1e-14
+        # central difference in the order, kept inside (0, 1)
+        h = 1e-5
+        a = min(max(alpha, 2.0 * h), 1.0 - 2.0 * h)
+        fd = (ml_spectrum(a + h, lams, t)[0] - ml_spectrum(a - h, lams, t)[0]) / (2.0 * h)
+        np.testing.assert_allclose(ml_spectrum(a, lams, t)[1], fd, rtol=1e-5, atol=1e-7)
