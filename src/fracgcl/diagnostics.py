@@ -432,19 +432,51 @@ class WalkConfig:
         )
 
 
-def _neighbor_tables(g: Graph):
-    deg = g.degrees()
-    nbr_idx = []
-    nbr_cdf = []
-    for i in range(g.n_nodes):
-        row = g.adjacency[i]
-        js = np.flatnonzero(row > 0)
-        nbr_idx.append(js)
-        if js.size:
-            nbr_cdf.append(np.cumsum(row[js]) / deg[i])
-        else:
-            nbr_cdf.append(np.array([]))
-    return nbr_idx, nbr_cdf
+def _lockstep_walk(
+    g: Graph,
+    start: int,
+    n_walkers: int,
+    seed: int,
+    t_end: float,
+    waits,
+    move_p: float,
+) -> np.ndarray:
+    """Occupancy at t_end of walkers that all step together from one stream.
+
+    ``waits(rng, k)`` draws k waiting times; an infinite wait parks a walker
+    for good.  After every wait that ends by t_end a walker moves, with
+    probability move_p, to a neighbor picked in proportion to edge weight.
+    Memory is O(n_walkers): each round draws only for the walkers still live.
+    """
+    if not 0 <= start < g.n_nodes:
+        raise ValueError(f"start node {start} out of range")
+    src, dst = np.nonzero(g.adjacency > 0)
+    indptr = np.searchsorted(src, np.arange(g.n_nodes + 1))
+    occupancy = np.zeros(g.n_nodes)
+    # the adjacency is symmetric, so only an isolated start can hold a
+    # walker on a node without neighbors
+    if t_end == 0.0 or indptr[start] == indptr[start + 1]:
+        occupancy[start] = 1.0
+        return occupancy
+    # one sorted table: node index plus that node's cumulative-weight CDF,
+    # so node + u with u in [0, 1) falls inside the node's own row
+    cum = np.cumsum(g.adjacency[src, dst])
+    cum -= np.concatenate(([0.0], cum))[indptr[src]]
+    table = src + cum / g.degrees()[src]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    node = np.full(n_walkers, start)
+    live = np.arange(n_walkers)
+    t = np.zeros(n_walkers)
+    while live.size:
+        t = t + waits(rng, live.size)
+        keep = t <= t_end
+        live, t = live[keep], t[keep]
+        movers = live[rng.random(live.size) < move_p]
+        v = node[movers]
+        pick = np.searchsorted(table, v + rng.random(v.size), side="right")
+        # float rounding at a row edge can land in the adjacent row
+        node[movers] = dst[np.clip(pick, indptr[v], indptr[v + 1] - 1)]
+    return np.bincount(node, minlength=g.n_nodes) / n_walkers
 
 
 def random_walk_sim(g: Graph, cfg: WalkConfig, start: int) -> np.ndarray:
@@ -454,46 +486,23 @@ def random_walk_sim(g: Graph, cfg: WalkConfig, start: int) -> np.ndarray:
     to n^-(1+alpha); after each wait the walker moves to a weighted random
     neighbor with the configured move probability, else stays.  Waits whose
     tail index exceeds the horizon park the walker for good, which is exact
-    because such a walker cannot act again before t_end.  Each walker has
-    its own derived RNG stream, so results are independent of scheduling.
+    because such a walker cannot act again before t_end.  All walkers step
+    in lockstep from one stream seeded by cfg.seed, so the result is
+    deterministic per seed, and memory is O(n_walkers).
     """
-    if not 0 <= start < g.n_nodes:
-        raise ValueError(f"start node {start} out of range")
-    counts = np.zeros(g.n_nodes)
-    if cfg.t_end == 0.0:
-        counts[start] = 1.0
-        return counts
     n_cap = int(np.floor(cfg.t_end / cfg.delta_tau)) + 1
     ladder = np.arange(1, n_cap + 1, dtype=float)
     wait_cdf = np.cumsum(ladder ** -(1.0 + cfg.alpha) * cfg.tail_norm())
-    move_p = cfg.move_probability()
-    nbr_idx, nbr_cdf = _neighbor_tables(g)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_walkers)
-    block = 128
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        node = start
-        t_base = 0.0
-        while True:
-            # one (wait, move?, neighbor) uniform triple per renewal event
-            u = rng.random(block)
-            mv = rng.random(block)
-            pk = rng.random(block)
-            slots = np.searchsorted(wait_cdf, u, side="right")
-            t_cum = t_base + np.cumsum((slots + 1.0) * cfg.delta_tau)
-            # a wait past the ladder cap exceeds the whole horizon: park
-            stop = (slots >= n_cap) | (t_cum > cfg.t_end)
-            n_ev = int(np.argmax(stop)) if stop.any() else block
-            for j in np.flatnonzero(mv[:n_ev] < move_p):
-                nbrs = nbr_idx[node]
-                if nbrs.size:
-                    pick = int(np.searchsorted(nbr_cdf[node], pk[j], side="right"))
-                    node = int(nbrs[min(pick, nbrs.size - 1)])
-            if n_ev < block:
-                break
-            t_base = float(t_cum[-1])
-        counts[node] += 1.0
-    return counts / cfg.n_walkers
+
+    def waits(rng, k):
+        slots = np.searchsorted(wait_cdf, rng.random(k), side="right")
+        # a wait past the ladder cap exceeds the whole horizon
+        return np.where(slots < n_cap, slots + 1.0, np.inf)
+
+    # time counted in whole delta_tau steps, so the sums are exact integers
+    return _lockstep_walk(
+        g, start, cfg.n_walkers, cfg.seed, n_cap - 1, waits, cfg.move_probability()
+    )
 
 
 def ctmc_walk_sim(
@@ -503,35 +512,17 @@ def ctmc_walk_sim(
 
     Exponential waits with rate one, every event moves to a weighted random
     neighbor.  Provided separately because the heavy-tailed transition rule
-    degenerates at alpha = 1.
+    degenerates at alpha = 1.  All walkers step in lockstep from one stream
+    seeded by seed, so the result is deterministic per seed, and memory is
+    O(n_walkers).
     """
-    if not 0 <= start < g.n_nodes:
-        raise ValueError(f"start node {start} out of range")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    counts = np.zeros(g.n_nodes)
-    nbr_idx, nbr_cdf = _neighbor_tables(g)
-    streams = np.random.SeedSequence(seed).spawn(n_walkers)
-    block = 64
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        node = start
-        t_base = 0.0
-        while True:
-            t_cum = t_base + np.cumsum(rng.exponential(size=block))
-            pk = rng.random(block)
-            beyond = t_cum > t_end
-            n_ev = int(np.argmax(beyond)) if beyond.any() else block
-            for j in range(n_ev):
-                nbrs = nbr_idx[node]
-                if nbrs.size:
-                    pick = int(np.searchsorted(nbr_cdf[node], pk[j], side="right"))
-                    node = int(nbrs[min(pick, nbrs.size - 1)])
-            if n_ev < block:
-                break
-            t_base = float(t_cum[-1])
-        counts[node] += 1.0
-    return counts / n_walkers
+    if n_walkers < 1:
+        raise ValueError("n_walkers must be at least 1")
+    return _lockstep_walk(
+        g, start, n_walkers, seed, t_end, lambda rng, k: rng.exponential(size=k), 1.0
+    )
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,19 @@ class TestWalkAndStability:
         rep = json.loads((tmp_path / "o" / "walk.json").read_text())
         assert rep["alpha"] == 1.0
 
+    def test_walk_alpha_one_without_walkers_exits_1(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path,
+            "w.json",
+            {
+                "walk": {"topology": "cycle", "n": 6, "alpha": 1.0, "n_walkers": 0},
+                "output_dir": str(tmp_path / "o"),
+            },
+        )
+        assert main(["walk", "--config", cfg, "--seed", "1"]) == 1
+        assert "n_walkers" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "walk.json").exists()
+
     def test_stability_inline_cycle(self, tmp_path):
         cfg = _write_config(
             tmp_path,

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 from conftest import cycle_graph, sbm_connected_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.special import gamma as gamma_ref
 
 from fracgcl.diagnostics import (
@@ -32,6 +36,12 @@ def bipartite_20():
     """Complete bipartite graph on 10+10 nodes; Laplacian spectrum {0, 1, 2}."""
     edges = [(i, 10 + j, 1.0) for i in range(10) for j in range(10)]
     return build_graph(20, edges)
+
+
+def irregular_graph():
+    """Weighted graph on 6 nodes with unequal degrees; node 5 is isolated."""
+    edges = [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 0.5), (3, 0, 2.0), (0, 2, 1.5), (3, 4, 4.0)]
+    return build_graph(6, edges)
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +452,74 @@ class TestCtmcWalk:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             ctmc_walk_sim(cycle_graph(3), -1.0, 10, seed=0, start=0)
+
+    def test_no_walkers_rejected(self):
+        with pytest.raises(ValueError, match="n_walkers"):
+            ctmc_walk_sim(cycle_graph(3), 1.0, 0, seed=0, start=0)
+
+    def test_deterministic_per_seed(self):
+        g = cycle_graph(5)
+        assert np.array_equal(
+            ctmc_walk_sim(g, 1.0, 300, seed=9, start=0),
+            ctmc_walk_sim(g, 1.0, 300, seed=9, start=0),
+        )
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_weighted_irregular_graph_matches_exponential(self, seed):
+        # an unweighted neighbor pick lies 0.062 away in total variation
+        g = irregular_graph()
+        adj = g.adjacency[:5, :5]
+        ref = expm(-(np.eye(5) - adj / adj.sum(axis=1, keepdims=True)))[0]
+        emp = ctmc_walk_sim(g, 1.0, 100_000, seed=seed, start=0)
+        assert emp[5] == 0.0
+        assert 0.5 * np.abs(emp[:5] - ref).sum() < 0.01
+
+
+def _heavy_tailed(g, t_end, n_walkers, seed, start):
+    cfg = WalkConfig(
+        alpha=0.5, t_end=t_end, delta_tau=0.05, n_walkers=n_walkers, seed=seed
+    )
+    return random_walk_sim(g, cfg, start)
+
+
+@pytest.mark.parametrize("sim", [_heavy_tailed, ctmc_walk_sim], ids=["heavy", "ctmc"])
+class TestWalkSimulators:
+    def test_isolated_start_point_mass(self, sim):
+        expected = np.zeros(6)
+        expected[5] = 1.0
+        assert np.array_equal(sim(irregular_graph(), 2.0, 500, 3, 5), expected)
+
+    def test_seeds_differ(self, sim):
+        g = cycle_graph(10)
+        assert not np.array_equal(sim(g, 1.0, 1_000, 1, 0), sim(g, 1.0, 1_000, 2, 0))
+
+    def test_entries_are_walker_fractions(self, sim):
+        n_walkers = 1_000
+        dist = sim(irregular_graph(), 1.0, n_walkers, 4, 0)
+        counts = dist * n_walkers
+        assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_occupancy_stays_in_start_component(self, sim, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        node = st.integers(0, n - 1)
+        # at most n edges, self-loops allowed: most graphs split into
+        # several components, some nodes isolated
+        edges = data.draw(
+            st.lists(st.tuples(node, node, st.floats(0.1, 5.0)), max_size=n),
+            label="edges",
+        )
+        g = build_graph(n, edges)
+        start = data.draw(node, label="start")
+        t_end = data.draw(st.floats(0.0, 3.0), label="t_end")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        dist = sim(g, t_end, 200, seed, start)
+        _, comp = connected_components(g.adjacency, directed=False)
+        assert np.all(dist[comp != comp[start]] == 0.0)
+        assert np.all(dist >= 0.0)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStability:
