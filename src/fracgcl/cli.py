@@ -16,8 +16,9 @@ overridden on the command line with repeated ``--set section.key=value``
 flags, and ``--seed``/``--out`` always win over the file.  Unknown keys are
 rejected by name.  Every run writes ``manifest.json`` with a hash of the
 semantic configuration (everything except ``output_dir`` and ``threads``),
-the seed, library versions, and wall time.  All files are written atomically
-and only inside the output directory.
+the seed, library versions, wall time, and whether a ``--threads`` cap
+took effect.  All files are written atomically and only inside the output
+directory.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 """
@@ -249,19 +250,22 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _apply_thread_cap(threads: int | None) -> None:
+def _apply_thread_cap(threads: int | None) -> bool:
+    """Cap BLAS threads through threadpoolctl; returns whether a cap took effect.
+
+    Thread-count environment variables would come too late here: numpy has
+    loaded BLAS by the time a subcommand runs.
+    """
     if threads is None:
-        return
+        return False
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=threads)
     except ImportError:
-        pass  # env vars still cap freshly spawned pools
+        return False
+    threadpool_limits(limits=threads)
+    return True
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -551,17 +555,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(cfg: RunConfig, command: str, wall_time: float) -> None:
+def _write_manifest(cfg: RunConfig, command: str, started: float, capped: bool) -> None:
     manifest = {
         "command": command,
         "config_hash": cfg.semantic_hash(),
         "seed": cfg.seed,
+        "threads_capped": capped,
         "versions": {
             "package": _VERSION,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
-        "wall_time_s": round(wall_time, 6),
+        "wall_time_s": round(time.perf_counter() - started, 6),
     }
     try:
         import scipy
@@ -581,10 +586,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         cfg = RunConfig.from_sources(args)
-        _apply_thread_cap(cfg.threads)
+        capped = _apply_thread_cap(cfg.threads)
         os.makedirs(cfg.output_dir, exist_ok=True)
         _COMMANDS[args.command](cfg, args)
-        _write_manifest(cfg, args.command, time.perf_counter() - started)
+        _write_manifest(cfg, args.command, started, capped)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

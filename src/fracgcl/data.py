@@ -129,12 +129,13 @@ def synth_sbm(spec: SynthSpec) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     size = spec.n // spec.n_blocks
     labels = np.repeat(np.arange(spec.n_blocks), size)
+    # row by row, the stream gives one draw per upper-triangle pair in order
     edges = []
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            p = spec.p_in if labels[i] == labels[j] else spec.p_out
-            if rng.random() < p:
-                edges.append((i, j, 1.0))
+    for i in range(spec.n - 1):
+        others = np.arange(i + 1, spec.n)
+        p = np.where(labels[others] == labels[i], spec.p_in, spec.p_out)
+        hit = others[rng.random(len(others)) < p]
+        edges += [(i, j, 1.0) for j in hit.tolist()]
     graph = build_graph(spec.n, edges)
     means = np.zeros((spec.n_blocks, spec.feature_dim))
     for c in range(spec.n_blocks):

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma, zeta
+from scipy.special import zeta
 
 from .encoder import EncoderBank
 from .graphs import Graph, SpectralBasis, eigendecompose, normalized_laplacian, perturb_graph
 from .solver import skip_multiplier, solve_linear_spectral
-from .special import gamma
+from .special import _tail_coeffs, gamma
 
 __all__ = [
     "ProbeConfig",
@@ -264,14 +264,6 @@ def _truncation_order(alpha: float) -> int:
     return n
 
 
-def _series_coeffs(alpha: float, lam: float, n_s: int) -> np.ndarray:
-    """Coefficients a_j of the relaxation tail expansion in powers of tau^-alpha."""
-    a = np.zeros(n_s + 1)
-    for j in range(1, n_s + 1):
-        a[j] = (-1.0) ** (j + 1) * rgamma(1.0 - j * alpha) / lam**j
-    return a
-
-
 def _geometric_coeffs(a: np.ndarray, skips: int) -> np.ndarray:
     """Expansion of sum_{k=0}^{skips} u^k where u has coefficients a, a[0]=0."""
     order = len(a) - 1
@@ -330,7 +322,9 @@ def check_theorem_sgi(
                 b_rows.append(())
                 asym[i] = skip_count + 1
                 continue
-            coeffs = _geometric_coeffs(_series_coeffs(alpha, lv, n_s), skip_count)
+            coeffs = _geometric_coeffs(
+                np.concatenate(([0.0], _tail_coeffs(alpha, lv, n_s))), skip_count
+            )
             b_rows.append(tuple(coeffs[1:]))
             asym[i] = sum(
                 coeffs[j] * tau ** (-j * alpha) for j in range(n_s + 1)

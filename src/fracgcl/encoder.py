@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import SpectralBasis
-from .solver import solve_linear_spectral
+from .special import ml_spectrum
 
 __all__ = [
     "EncoderParams",
@@ -135,10 +135,31 @@ def init_bank(
     return EncoderBank(encoders=tuple(encs))
 
 
+# name -> (activation, its derivative)
 _ACTIVATIONS = {
-    "relu": lambda z: np.maximum(z, 0.0),
-    "identity": lambda z: z,
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
+    "identity": (lambda z: z, np.ones_like),
 }
+
+
+def _activation(name: str):
+    """The (activation, derivative) pair registered under name."""
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return _ACTIVATIONS[name]
+
+
+def _diffuse(basis: SpectralBasis, projected: np.ndarray, alpha: float, horizon: float):
+    """Diffuse projected features: U diag(e_alpha(lambda, T)) U^T (X W).
+
+    Returns (spectrum, damp, sens, diffused): the graph Fourier coefficients
+    of the projected features, the kernel values and their order
+    derivatives per frequency, and the diffused features.  The training
+    backward pass reuses the first three.
+    """
+    spectrum = basis.eigenvectors.T @ projected
+    damp, sens = ml_spectrum(alpha, basis.eigenvalues, horizon)
+    return spectrum, damp, sens, basis.eigenvectors @ (damp[:, None] * spectrum)
 
 
 def encoder_forward(
@@ -152,8 +173,7 @@ def encoder_forward(
     Computes sigma(diffuse(X @ W)) where the diffusion acts column-wise
     on the projected features through the spectral basis.
     """
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+    act = _activation(activation)[0]
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
@@ -165,10 +185,8 @@ def encoder_forward(
         raise ValueError(
             f"features have {x.shape[1]} columns but weights expect {params.d_in}"
         )
-    projected = x @ params.weights
-    diffused = solve_linear_spectral(basis, projected, params.alpha, params.horizon)
-    y = _ACTIVATIONS[activation](diffused)
-    return ViewEmbedding(matrix=y, source_alpha=params.alpha)
+    diffused = _diffuse(basis, x @ params.weights, params.alpha, params.horizon)[3]
+    return ViewEmbedding(matrix=act(diffused), source_alpha=params.alpha)
 
 
 def bank_forward(

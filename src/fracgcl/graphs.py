@@ -8,6 +8,7 @@ never diffuse).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -57,6 +58,13 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
 
+def _edge_triples(adj: np.ndarray) -> tuple:
+    """Canonical (src, dst, weight) triples of the upper triangle, row-major."""
+    rows, cols = np.nonzero(np.triu(adj > 0.0))
+    ids = list(range(adj.shape[0]))  # one int per node, shared by its edges
+    return tuple((ids[i], ids[j], w) for i, j, w in zip(rows, cols, adj[rows, cols]))
+
+
 def build_graph(n: int, edge_list) -> Graph:
     """Assemble a graph from a directed edge list.
 
@@ -79,20 +87,14 @@ def build_graph(n: int, edge_list) -> Graph:
         src, dst, w = int(src), int(dst), float(w)
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"edge {k}: index ({src}, {dst}) out of range for n={n}")
-        if w < 0.0 or not np.isfinite(w):
+        if w < 0.0 or not math.isfinite(w):
             raise ValueError(f"edge {k}: weight must be finite and >= 0, got {w}")
         directed[(src, dst)] = w  # last wins
     adj = np.zeros((n, n))
     for (src, dst), w in directed.items():
         adj[src, dst] = w
     adj = np.maximum(adj, adj.T)
-    edges = tuple(
-        (i, j, adj[i, j])
-        for i in range(n)
-        for j in range(i, n)
-        if adj[i, j] > 0.0
-    )
-    return Graph(n_nodes=n, edges=edges, adjacency=adj)
+    return Graph(n_nodes=n, edges=_edge_triples(adj), adjacency=adj)
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
@@ -222,7 +224,4 @@ def perturb_graph(g: Graph, ratio: float, mode: str, seed: int) -> Graph:
             adj[i, j] = 1.0
             adj[j, i] = 1.0
 
-    edges = tuple(
-        (i, j, adj[i, j]) for i in range(g.n_nodes) for j in range(i, g.n_nodes) if adj[i, j] > 0.0
-    )
-    return Graph(n_nodes=g.n_nodes, edges=edges, adjacency=adj)
+    return Graph(n_nodes=g.n_nodes, edges=_edge_triples(adj), adjacency=adj)

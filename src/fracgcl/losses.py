@@ -33,7 +33,7 @@ class DegenerateEmbeddingError(ValueError):
 
 
 class NoSpectralGapError(RuntimeError):
-    """Power iteration cannot isolate a single dominant direction."""
+    """The top two covariance eigenvalues tie, so no single direction dominates."""
 
 
 @dataclass(frozen=True)
@@ -81,32 +81,11 @@ def cosmean(ya, yb) -> float:
     return float(1.0 - sims.mean())
 
 
-def _power_iterate(mat, start, tol, max_iter):
-    """Power iteration returning (rayleigh, vector, converged)."""
-    v = start / np.linalg.norm(start)
-    for _ in range(max_iter):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # the remaining subspace is null; 0 is an exact eigenvalue
-            return 0.0, v, True
-        w /= norm
-        if w @ v < 0.0:
-            w = -w
-        if np.linalg.norm(w - v) < tol:
-            return float(w @ mat @ w), w, True
-        v = w
-    return float(v @ mat @ v), v, False
+def _principal_axis(y):
+    """Centered embedding, its Gram matrix, top eigenvalue and top eigenvector.
 
-
-def dominant_direction(y, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:
-    """Top principal direction of the column-centered embedding.
-
-    Computed by power iteration on the (small) feature-space Gram matrix;
-    the sign is fixed so the largest-magnitude entry is positive.
-    Raises DegenerateEmbeddingError when centering leaves nothing, and
-    NoSpectralGapError when the top eigenvalue is not isolated (either the
-    iteration fails to settle or a deflated probe finds a tied eigenvalue).
+    The eigenvector is that of `dominant_direction`; see there for the sign
+    rule and the two errors.
     """
     m = np.asarray(getattr(y, "matrix", y), dtype=float)
     if m.ndim != 2:
@@ -118,36 +97,32 @@ def dominant_direction(y, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarra
             "embedding rows are identical up to roundoff; no principal direction"
         )
     gram = centered.T @ centered
-    rng = np.random.default_rng(0)
-    lam1, v1, ok = _power_iterate(gram, rng.normal(size=gram.shape[0]), tol, max_iter)
-    if not ok:
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    lam1 = float(eigvals[-1])
+    if len(eigvals) > 1 and lam1 - eigvals[-2] <= 1e-9 * lam1:
         raise NoSpectralGapError(
-            f"power iteration did not settle in {max_iter} iterations"
+            "top two covariance eigenvalues coincide; direction is arbitrary"
         )
-    # probe the second eigenvalue on the deflated matrix; a tie means the
-    # "dominant" direction is arbitrary
-    deflated = gram - lam1 * np.outer(v1, v1)
-    probe = rng.normal(size=gram.shape[0])
-    probe -= (probe @ v1) * v1
-    if np.linalg.norm(probe) > 0.0:
-        lam2, _, _ = _power_iterate(deflated, probe, tol, min(300, max_iter))
-        if lam1 - lam2 <= 1e-9 * lam1:
-            raise NoSpectralGapError(
-                "top two covariance eigenvalues coincide; direction is arbitrary"
-            )
+    v1 = eigvecs[:, -1]
     peak = np.argmax(np.abs(v1))
     if v1[peak] < 0.0:
         v1 = -v1
-    return v1
+    return centered, gram, lam1, v1
 
 
-def regularized_cosmean(
-    ya,
-    yb,
-    eta: float,
-    direction_tol: float = 1e-10,
-    direction_max_iter: int = 1000,
-) -> float:
+def dominant_direction(y) -> np.ndarray:
+    """Top principal direction of the column-centered embedding.
+
+    The top eigenvector of the (small) feature-space Gram matrix; the sign
+    is fixed so the largest-magnitude entry is positive.  Raises
+    DegenerateEmbeddingError when centering leaves nothing, and
+    NoSpectralGapError when the top two eigenvalues agree to a relative
+    1e-9, so that the direction is arbitrary.
+    """
+    return _principal_axis(y)[3]
+
+
+def regularized_cosmean(ya, yb, eta: float) -> float:
     """Cosmean plus eta times the absolute alignment of dominant directions.
 
     With eta exactly zero the penalty (and its direction computation) is
@@ -156,17 +131,12 @@ def regularized_cosmean(
     base = cosmean(ya, yb)
     if eta == 0.0:
         return base
-    ca = dominant_direction(ya, direction_tol, direction_max_iter)
-    cb = dominant_direction(yb, direction_tol, direction_max_iter)
+    ca = dominant_direction(ya)
+    cb = dominant_direction(yb)
     return base + eta * abs(float(ca @ cb))
 
 
-def total_loss(
-    views,
-    eta: float,
-    direction_tol: float = 1e-10,
-    direction_max_iter: int = 1000,
-) -> float:
+def total_loss(views, eta: float) -> float:
     """Sum of regularized cosmean over the consecutive-view cycle.
 
     Pairs are ordered (k, k+1 mod K); with K=2 both ordered pairs count,
@@ -177,9 +147,7 @@ def total_loss(
     k = len(views)
     directions = None
     if eta != 0.0:
-        directions = [
-            dominant_direction(v, direction_tol, direction_max_iter) for v in views
-        ]
+        directions = [dominant_direction(v) for v in views]
     out = 0.0
     for i in range(k):
         j = (i + 1) % k

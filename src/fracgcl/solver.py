@@ -81,6 +81,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
+def _spectral_filter(basis: SpectralBasis, mult: np.ndarray, y: np.ndarray):
+    """U diag(mult) U^T y for a state y of shape (N,) or (N, F)."""
+    coeffs = basis.eigenvectors.T @ y
+    scale = mult if coeffs.ndim == 1 else mult[:, None]
+    return basis.eigenvectors @ (scale * coeffs)
+
+
 def solve_linear_spectral(
     basis: SpectralBasis,
     y0: np.ndarray,
@@ -110,10 +117,7 @@ def solve_linear_spectral(
     if horizon == 0.0:
         return y0.copy()
     damp = ml_spectrum(alpha, basis.eigenvalues, horizon)[0]
-    coeffs = basis.eigenvectors.T @ y0
-    if coeffs.ndim == 1:
-        return basis.eigenvectors @ (damp * coeffs)
-    return basis.eigenvectors @ (damp[:, None] * coeffs)
+    return _spectral_filter(basis, damp, y0)
 
 
 def solve_caputo_pc(
@@ -223,10 +227,7 @@ def solve_with_skips(
     if y0.shape[0] != basis.n:
         raise ValueError(f"state has {y0.shape[0]} rows, basis expects {basis.n}")
     mult = skip_multiplier(alpha, basis.eigenvalues, tau, m)
-    coeffs = basis.eigenvectors.T @ y0
-    if coeffs.ndim == 1:
-        return basis.eigenvectors @ (mult * coeffs)
-    return basis.eigenvectors @ (mult[:, None] * coeffs)
+    return _spectral_filter(basis, mult, y0)
 
 
 def skip_multiplier(alpha: float, eigenvalues: np.ndarray, tau: float, m: int) -> np.ndarray:

@@ -168,6 +168,15 @@ def ml(alpha: float, lam: float, t: float) -> float:
     return float(ml_spectrum(alpha, [lam], t)[0][0])
 
 
+def _tail_coeffs(alpha: float, lam: float, n_terms: int) -> np.ndarray:
+    """Coefficients a_1..a_n of the long-time expansion in powers of tau^-alpha.
+
+    a_j = (-1)^(j+1) / (lam^j Gamma(1 - j alpha)); callers keep j alpha < 1.
+    """
+    j = np.arange(1, n_terms + 1)
+    return (-1.0) ** (j + 1) * _sps.rgamma(1.0 - j * alpha) / lam**j
+
+
 def ml_asymptotic(alpha: float, lam: float, tau: float, n_terms: int) -> float:
     """Large-time asymptotic expansion of the Mittag-Leffler kernel.
 
@@ -203,11 +212,8 @@ def ml_asymptotic(alpha: float, lam: float, tau: float, n_terms: int) -> float:
             f"n_terms * alpha = {n_terms * alpha} >= 1 hits a Gamma pole; "
             f"reduce n_terms below {1.0 / alpha}"
         )
-    total = 0.0
-    for j in range(1, n_terms + 1):
-        term = tau ** (-j * alpha) / (lam**j * gamma(1.0 - j * alpha))
-        total += term if j % 2 == 1 else -term
-    return total
+    coeffs = _tail_coeffs(alpha, lam, n_terms)
+    return float(np.sum(coeffs * tau ** (-alpha * np.arange(1, n_terms + 1))))
 
 
 def dml_dalpha(alpha: float, lam: float, t: float) -> float:

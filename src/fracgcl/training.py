@@ -16,13 +16,20 @@ import numpy as np
 from .encoder import (
     EncoderBank,
     EncoderParams,
+    _activation,
+    _diffuse,
     combine_views,
     encoder_forward,
     init_encoder_params,
 )
 from .graphs import SpectralBasis
-from .losses import cosmean, dominant_direction, total_loss
-from .special import ml_spectrum
+from .losses import (
+    DegenerateEmbeddingError,
+    NoSpectralGapError,
+    _principal_axis,
+    cosmean,
+    total_loss,
+)
 
 __all__ = [
     "TrainConfig",
@@ -36,12 +43,6 @@ __all__ = [
 ]
 
 _GRAD_MODES = ("analytic", "finite_difference")
-
-# power-iteration settings used inside gradient evaluation: tighter than the
-# public dominant_direction defaults so finite-difference quotients are not
-# dominated by iteration noise
-_DIR_TOL = 1e-14
-_DIR_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -130,15 +131,6 @@ def _cosmean_pair_grads(a: np.ndarray, b: np.ndarray):
     return da, db
 
 
-def _direction_state(y: np.ndarray, tol: float, max_iter: int):
-    """Dominant direction plus the pieces its derivative needs."""
-    v = dominant_direction(y, tol, max_iter)
-    centered = y - y.mean(axis=0, keepdims=True)
-    gram = centered.T @ centered
-    mu1 = float(v @ gram @ v)
-    return centered, gram, mu1, v
-
-
 def _penalty_grad(centered, gram, mu1, v, v_other, sign):
     """Gradient of sign * <v(Y), v_other> w.r.t. Y.
 
@@ -157,21 +149,25 @@ def _penalty_grad(centered, gram, mu1, v, v_other, sign):
 
 def _forward_pieces(basis, features, w_list, alpha_list, horizons, activation):
     """Forward pass keeping the intermediates the backward pass reuses."""
-    u = basis.eigenvectors
-    lam = basis.eigenvalues
-    projected = [features @ w for w in w_list]
-    spectra = [u.T @ z for z in projected]
-    damps, sens = zip(*(ml_spectrum(a, lam, h) for a, h in zip(alpha_list, horizons)))
-    pre = [u @ (d[:, None] * s) for d, s in zip(damps, spectra)]
-    if activation == "relu":
-        outs = [np.maximum(p, 0.0) for p in pre]
-        masks = [(p > 0.0).astype(float) for p in pre]
-    elif activation == "identity":
-        outs = list(pre)
-        masks = [np.ones_like(p) for p in pre]
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
-    return projected, spectra, damps, sens, outs, masks
+    act, act_grad = _activation(activation)
+    spectra, damps, sens, pre = zip(
+        *(
+            _diffuse(basis, features @ w, a, h)
+            for w, a, h in zip(w_list, alpha_list, horizons)
+        )
+    )
+    return spectra, damps, sens, [act(p) for p in pre], [act_grad(p) for p in pre]
+
+
+def _direction_states(outs, alpha_list):
+    """Principal-axis state of every view; a failure names the view."""
+    states = []
+    for i, (y, a) in enumerate(zip(outs, alpha_list)):
+        try:
+            states.append(_principal_axis(y))
+        except (DegenerateEmbeddingError, NoSpectralGapError) as exc:
+            raise FloatingPointError(f"view {i} (alpha={a:.6g}): {exc}") from exc
+    return states
 
 
 def _analytic_loss_and_grads(
@@ -179,12 +175,12 @@ def _analytic_loss_and_grads(
 ):
     u = basis.eigenvectors
     k = len(w_list)
-    _, spectra, damps, sens, outs, masks = _forward_pieces(
+    spectra, damps, sens, outs, masks = _forward_pieces(
         basis, features, w_list, alpha_list, horizons, activation
     )
     states = None
     if eta != 0.0:
-        states = [_direction_state(y, _DIR_TOL, _DIR_MAX_ITER) for y in outs]
+        states = _direction_states(outs, alpha_list)
     loss = 0.0
     d_out = [np.zeros_like(y) for y in outs]
     for i in range(k):
@@ -217,11 +213,14 @@ def _fd_loss(basis, features, w_list, alpha_list, horizons, eta, activation):
         ).matrix
         for w, a, h in zip(w_list, alpha_list, horizons)
     ]
-    return total_loss(views, eta, _DIR_TOL, _DIR_MAX_ITER), views
+    if eta != 0.0:
+        _direction_states(views, alpha_list)  # names a collapsed view
+    return total_loss(views, eta), views
 
 
 def _fd_loss_and_grads(
-    basis, features, w_list, alpha_list, horizons, eta, activation, step, w_coords
+    basis, features, w_list, alpha_list, horizons, eta, activation,
+    step=1e-5, w_coords=None,
 ):
     loss, base_views = _fd_loss(
         basis, features, w_list, alpha_list, horizons, eta, activation
@@ -233,7 +232,7 @@ def _fd_loss_and_grads(
         ).matrix
         swapped = list(base_views)
         swapped[idx] = view
-        return total_loss(swapped, eta, _DIR_TOL, _DIR_MAX_ITER)
+        return total_loss(swapped, eta)
 
     grads_a = []
     for idx, a in enumerate(alpha_list):
@@ -380,6 +379,9 @@ def avla(
             )
         if any(not 0.0 < a <= 1.0 for a in alphas):
             raise ValueError("initial orders must lie in (0, 1]")
+    loss_and_grads = (
+        _analytic_loss_and_grads if cfg.grad_mode == "analytic" else _fd_loss_and_grads
+    )
     losses: list[float] = []
     traces = []
     events = []
@@ -391,18 +393,19 @@ def avla(
         a_list = list(alphas)
         horizons = [horizon] * len(a_list)
         trace = [list(a_list)]
-        for _ in range(cfg.epochs_n):
-            if cfg.grad_mode == "analytic":
-                loss, grads = _analytic_loss_and_grads(
+        for epoch in range(cfg.epochs_n):
+            try:
+                loss, grads = loss_and_grads(
                     basis, x, w_list, a_list, horizons, cfg.eta, activation
                 )
-            else:
-                loss, grads = _fd_loss_and_grads(
-                    basis, x, w_list, a_list, horizons, cfg.eta, activation,
-                    1e-5, None,
-                )
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite loss {loss}")
+                if not np.isfinite(loss):
+                    raise FloatingPointError(f"non-finite loss {loss}")
+            except (
+                FloatingPointError, DegenerateEmbeddingError, NoSpectralGapError
+            ) as exc:
+                raise FloatingPointError(
+                    f"training round {round_idx}, epoch {epoch}: {exc}"
+                ) from exc
             w_list = [w - cfg.lr_w * gw for w, gw in zip(w_list, grads.w)]
             a_list = [
                 clip_alpha(a - cfg.lr_alpha * ga, cfg.clip_eps)

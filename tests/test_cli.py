@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 from fracgcl.cli import main
-from fracgcl.data import SynthSpec, load_matrix, save_dataset, synth_sbm
+from fracgcl.data import (
+    Dataset,
+    SynthSpec,
+    load_matrix,
+    save_dataset,
+    synth_cycle,
+    synth_sbm,
+)
 
 
 @pytest.fixture()
@@ -228,6 +236,31 @@ class TestTrainEmbedProbe:
         assert rc == 2
         assert "merged" in capsys.readouterr().err
 
+    def test_collapsed_view_exits_2_naming_it(self, tmp_path, capsys):
+        # constant features on a regular graph: every view's rows are equal,
+        # so no view has a principal direction
+        ds = Dataset(
+            graph=synth_cycle(10),
+            features=np.ones((10, 3)),
+            labels=np.arange(10) % 2,
+            splits={"train": range(5), "val": range(5, 8), "test": range(8, 10)},
+        )
+        d = tmp_path / "flat"
+        d.mkdir()
+        save_dataset(
+            ds,
+            str(d / "edges.csv"),
+            str(d / "features.csv"),
+            str(d / "labels.csv"),
+            str(d / "splits.json"),
+        )
+        cfg = _train_config(tmp_path, d, "flat_out")
+        rc = main(["train", "--config", cfg, "--seed", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "round 0, epoch 0: view 0 (alpha=" in err
+        assert "identical" in err
+
 
 class TestDiagnose:
     def test_pca_report(self, tmp_path, dataset_dir):
@@ -396,6 +429,16 @@ class TestManifestHash:
         h1 = self._hash(tmp_path, "r1", ("--set", "synth.p_in=0.5"))
         h2 = self._hash(tmp_path, "r2", ("--set", "synth.p_in=0.6"))
         assert h1 != h2
+
+    def test_manifest_records_whether_threads_were_capped(self, tmp_path):
+        capped = importlib.util.find_spec("threadpoolctl") is not None
+        for name, extra, expected in (
+            ("plain", (), False),
+            ("capped", ("--threads", "1"), capped),
+        ):
+            assert main(["synth", "--out", str(tmp_path / name), *extra]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["threads_capped"] is expected
 
     def test_output_dir_and_threads_do_not_change_hash(self, tmp_path):
         h1 = self._hash(tmp_path, "r1", ("--seed", "5", "--threads", "1"))

@@ -112,6 +112,25 @@ class TestDominantDirection:
         assert np.max(np.abs(dominant_direction(y) - ref)) < 1e-7
 
 
+    def test_small_real_gap_resolved(self):
+        # top two covariance eigenvalues differ by a relative 1e-6, far above
+        # the 1e-9 tie threshold
+        rng = np.random.default_rng(10)
+        c = rng.normal(size=(40, 3))
+        q = np.linalg.qr(c - c.mean(axis=0))[0]  # centered orthonormal columns
+        rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        y = q @ np.diag(np.sqrt([1.0 + 1e-6, 1.0, 0.5])) @ rot.T
+        ref = rot[:, 0]
+        if ref[np.argmax(np.abs(ref))] < 0:
+            ref = -ref
+        assert np.max(np.abs(dominant_direction(y) - ref)) < 1e-8
+
+    def test_single_column(self):
+        y = np.array([[3.0], [-1.0], [0.5], [2.0]])
+        assert np.array_equal(dominant_direction(y), [1.0])
+        assert np.array_equal(dominant_direction(-y), [1.0])
+
+
 class TestRegularizedCosmean:
     def test_eta_zero_is_plain_cosmean(self):
         rng = np.random.default_rng(6)

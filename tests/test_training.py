@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 from conftest import cycle_graph, random_connected_graph, sbm_connected_graph
+from hypothesis import assume, example, given, reject, settings
+from hypothesis import strategies as st
 
 from fracgcl.diagnostics import ProbeConfig
-from fracgcl.encoder import EncoderBank, EncoderParams, init_bank
+from fracgcl.encoder import EncoderBank, EncoderParams, encoder_forward, init_bank
 from fracgcl.graphs import eigendecompose, normalized_laplacian
+from fracgcl.losses import DegenerateEmbeddingError, NoSpectralGapError, dominant_direction
 from fracgcl.training import (
     TrainConfig,
     avla,
@@ -152,6 +155,51 @@ class TestGradLoss:
             ga = grad_loss(basis, x, bank, eta, "analytic", activation)
             gf = grad_loss(basis, x, bank, eta, "finite_difference", activation)
             assert _max_tensor_gap(ga, gf) < 1e-7
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(4, 7),
+        alphas=st.lists(
+            st.sampled_from([1e-4, 1.0]) | st.floats(1e-4, 1.0), min_size=2, max_size=3
+        ),
+        d_in=st.integers(1, 3),
+        width=st.integers(1, 3),
+        horizon=st.floats(0.5, 5.0),
+        eta=st.sampled_from([0.0, 0.5]),
+        activation=st.sampled_from(["relu", "identity"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # orders at the clip floor and at 1, and one ReLU-dead row in each view
+    @example(
+        n=6, alphas=[1e-4, 1.0], d_in=2, width=2, horizon=2.0, eta=0.5,
+        activation="relu", seed=4,
+    )
+    def test_analytic_matches_finite_difference_on_random_banks(
+        self, n, alphas, d_in, width, horizon, eta, activation, seed
+    ):
+        basis = eigendecompose(normalized_laplacian(random_connected_graph(n, 0.5, seed)))
+        rng = np.random.default_rng([seed, 1])
+        x = rng.normal(size=(n, d_in))
+        bank = EncoderBank(
+            encoders=tuple(
+                EncoderParams(rng.uniform(-1, 1, (d_in, width)), a, horizon)
+                for a in sorted(alphas)
+            )
+        )
+        views = [encoder_forward(basis, x, e, "identity").matrix for e in bank.encoders]
+        if activation == "relu":
+            # finite differences straddling a kink see a one-sided slope
+            assume(all(np.min(np.abs(v)) > 1e-4 for v in views))
+            views = [np.maximum(v, 0.0) for v in views]
+        if eta != 0.0:
+            for v in views:
+                try:
+                    dominant_direction(v)
+                except (DegenerateEmbeddingError, NoSpectralGapError):
+                    reject()
+        ga = grad_loss(basis, x, bank, eta, "analytic", activation)
+        gf = grad_loss(basis, x, bank, eta, "finite_difference", activation)
+        assert _max_tensor_gap(ga, gf) < 1e-7
 
     def test_bad_mode_rejected(self, cyc10_basis):
         bank = init_bank(2, 2, [0.4, 0.8], 2.0, np.random.default_rng(0))
