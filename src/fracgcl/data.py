@@ -2,14 +2,14 @@
 
 File formats are deliberately small and explicit:
 
-* edges: CSV with header ``src,dst,weight``
+* edges: CSV with header ``src,dst,weight``, written from the adjacency
 * features: CSV with header ``f0,...,f{d-1}``, one row per node in index order
 * labels: CSV with header ``node,label``; absent nodes are unlabeled (-1)
 * splits: JSON object ``{"train": [...], "val": [...], "test": [...]}``
 * matrices: CSV as above, or the FDMV binary layout: magic ``FDMV``,
   version u32, rows u64, cols u64, then row-major little-endian f64 payload
 
-Every parse failure points at the offending line or byte region.
+Every parse failure, and every invalid edge, names the offending line or bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, _check_edges, _upper_triangle, build_graph
 
 __all__ = [
     "Dataset",
@@ -41,6 +41,7 @@ __all__ = [
 _SPLIT_NAMES = ("train", "val", "test")
 _MAGIC = b"FDMV"
 _VERSION = 1
+_EDGE_CSV = dict(dtype="i8,i8,f8", delimiter=",", comments=None, ndmin=1, unpack=True)
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,13 @@ def synth_sbm(spec: SynthSpec) -> Dataset:
     size = spec.n // spec.n_blocks
     labels = np.repeat(np.arange(spec.n_blocks), size)
     # row by row, the stream gives one draw per upper-triangle pair in order
-    edges = []
+    edges = [np.zeros((0, 3))]  # keeps the concatenation valid at n=1
     for i in range(spec.n - 1):
         others = np.arange(i + 1, spec.n)
         p = np.where(labels[others] == labels[i], spec.p_in, spec.p_out)
         hit = others[rng.random(len(others)) < p]
-        edges += [(i, j, 1.0) for j in hit.tolist()]
-    graph = build_graph(spec.n, edges)
+        edges.append(np.column_stack((np.full(len(hit), i), hit, np.ones(len(hit)))))
+    graph = build_graph(spec.n, np.concatenate(edges))
     means = np.zeros((spec.n_blocks, spec.feature_dim))
     for c in range(spec.n_blocks):
         means[c, c] = spec.class_mean_separation
@@ -172,15 +173,10 @@ def synth_grid(rows: int, cols: int) -> Graph:
     """Rectangular grid, unit weights, row-major node numbering."""
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 columns")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                edges.append((node, node + 1, 1.0))
-            if r + 1 < rows:
-                edges.append((node, node + cols, 1.0))
-    return build_graph(rows * cols, edges)
+    node = np.arange(rows * cols).reshape(rows, cols)
+    src = np.concatenate((node[:, :-1], node[:-1]), axis=None)
+    dst = np.concatenate((node[:, 1:], node[1:]), axis=None)
+    return build_graph(rows * cols, np.column_stack((src, dst, np.ones(len(src)))))
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
@@ -277,25 +273,32 @@ def save_report(report, path: str) -> None:
     _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _read_edges(path: str):
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["src", "dst", "weight"]:
-            raise ValueError(f"{path}:1: expected header 'src,dst,weight'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 fields")
+def _read_edges(path: str, n: int) -> np.ndarray:
+    """Checked (k, 3) edges of an edges CSV; errors name the first bad line."""
+    with open(path) as fh:
+        header, _, body = fh.read().partition("\n")
+    if next(csv.reader([header]), None) != ["src", "dst", "weight"]:
+        raise ValueError(f"{path}:1: expected header 'src,dst,weight'")
+    lines = body.split("\n")
+    rows = list(filter(None, lines))  # loadtxt warns on an empty body
+
+    def where(k: int) -> str:  # file:line of rows[k]; runs on errors only
+        return f"{path}:{2 + np.flatnonzero(list(map(len, lines)))[k]}"
+
+    try:
+        src, dst, w = np.loadtxt(rows, **_EDGE_CSV) if rows else np.zeros((3, 0))
+    except ValueError:
+        lo, hi = 0, len(rows)  # bisect for the first row that fails to parse
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                edges.append((int(row[0]), int(row[1]), float(row[2])))
+                np.loadtxt(rows[lo:mid], **_EDGE_CSV)
+                lo = mid
             except ValueError:
-                raise ValueError(
-                    f"{path}:{line_no}: malformed edge {row!r}"
-                ) from None
-    return edges
+                hi = mid
+        raise ValueError(f"{where(lo)}: malformed edge {rows[lo]!r}") from None
+    _check_edges(n, src, dst, w, where)
+    return np.column_stack((src, dst, w))
 
 
 def _read_labels(path: str, n: int) -> np.ndarray:
@@ -332,13 +335,7 @@ def load_dataset(
     """
     features = load_matrix(feature_path, fmt="csv")
     n = features.shape[0]
-    edges = _read_edges(edge_path)
-    for k, (src, dst, _) in enumerate(edges):
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(
-                f"{edge_path}: edge {k} ({src}, {dst}) exceeds node count {n}"
-            )
-    graph = build_graph(n, edges)
+    graph = build_graph(n, _read_edges(edge_path, n))
     labels = _read_labels(label_path, n)
     with open(split_path) as fh:
         try:
@@ -358,10 +355,9 @@ def save_dataset(
     split_path: str,
 ) -> None:
     """Write the four-file representation read back by load_dataset."""
-    lines = ["src,dst,weight"]
-    for src, dst, w in ds.graph.edges:
-        lines.append(f"{src},{dst},{w:.17g}")
-    _atomic_write(edge_path, ("\n".join(lines) + "\n").encode())
+    triangle = (a.tolist() for a in _upper_triangle(ds.graph.adjacency))
+    body = "".join(map("{},{},{:.17g}\n".format, *triangle))
+    _atomic_write(edge_path, ("src,dst,weight\n" + body).encode())
     save_matrix(ds.features, feature_path, fmt="csv")
     lab_lines = ["node,label"]
     for node, label in enumerate(ds.labels):

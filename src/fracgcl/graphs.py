@@ -1,16 +1,15 @@
 """Graph construction, normalized Laplacian, spectral transforms, perturbation.
 
-All graphs are undirected with nonnegative edge weights, stored densely.
-The Laplacian uses symmetric normalization, which keeps the eigenbasis
-orthonormal; isolated nodes get an identity row by convention (their signals
-never diffuse).
+All graphs are undirected with nonnegative edge weights, stored only as a
+dense adjacency from which the edge list is derived.  The Laplacian uses
+symmetric normalization, which keeps the eigenbasis orthonormal; isolated
+nodes get an identity row by convention (their signals never diffuse).
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +30,15 @@ _SYM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph with a dense symmetric adjacency matrix."""
+    """Undirected weighted graph, stored as its dense symmetric adjacency."""
 
     n_nodes: int  # node count, indices 0..n_nodes-1
-    edges: tuple  # canonical (src, dst, weight) triples with src <= dst
     adjacency: np.ndarray  # symmetric nonnegative (n, n) matrix
+
+    @property
+    def edges(self) -> tuple:
+        """Canonical (src, dst, weight) triples with src <= dst, row-major."""
+        return tuple(zip(*(a.tolist() for a in _upper_triangle(self.adjacency))))
 
     def degrees(self) -> np.ndarray:
         """Weighted degree of every node (row sums of the adjacency)."""
@@ -58,11 +61,24 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
 
-def _edge_triples(adj: np.ndarray) -> tuple:
-    """Canonical (src, dst, weight) triples of the upper triangle, row-major."""
+def _upper_triangle(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and weights of the nonzero upper triangle, row-major."""
     rows, cols = np.nonzero(np.triu(adj > 0.0))
-    ids = list(range(adj.shape[0]))  # one int per node, shared by its edges
-    return tuple((ids[i], ids[j], w) for i, j, w in zip(rows, cols, adj[rows, cols]))
+    return rows, cols, adj[rows, cols]
+
+
+def _check_edges(n: int, src, dst, w, where) -> None:
+    """Raise ValueError, prefixed by where(k), at the first invalid edge k."""
+    outside = ~((src >= 0) & (src < n) & (dst >= 0) & (dst < n))
+    bad = np.flatnonzero(outside | ~(np.isfinite(w) & (w >= 0.0)))
+    if len(bad) == 0:
+        return
+    k = bad[0]
+    if outside[k]:
+        raise ValueError(
+            f"{where(k)}: index ({src[k]:.17g}, {dst[k]:.17g}) exceeds node count {n}"
+        )
+    raise ValueError(f"{where(k)}: weight must be finite and >= 0, got {w[k]}")
 
 
 def build_graph(n: int, edge_list) -> Graph:
@@ -74,27 +90,22 @@ def build_graph(n: int, edge_list) -> Graph:
 
     Args:
         n: number of nodes.
-        edge_list: iterable of (src, dst, weight) with 0 <= src, dst < n
-            and weight >= 0.
+        edge_list: sequence of (src, dst, weight) triples, or a (k, 3)
+            array of them, with 0 <= src, dst < n and weight >= 0.
 
     Returns:
         Graph with a symmetric adjacency matrix.
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    directed: dict[tuple[int, int], float] = {}
-    for k, (src, dst, w) in enumerate(edge_list):
-        src, dst, w = int(src), int(dst), float(w)
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"edge {k}: index ({src}, {dst}) out of range for n={n}")
-        if w < 0.0 or not math.isfinite(w):
-            raise ValueError(f"edge {k}: weight must be finite and >= 0, got {w}")
-        directed[(src, dst)] = w  # last wins
+    e = np.asarray(edge_list, dtype=float).reshape(-1, 3)
+    _check_edges(n, e[:, 0], e[:, 1], e[:, 2], lambda k: f"edge {k}")
+    src, dst = e[:, 0].astype(np.intp), e[:, 1].astype(np.intp)
+    # fancy assignment is unspecified for repeats: keep each pair's last explicitly
+    last = len(e) - 1 - np.unique((src * n + dst)[::-1], return_index=True)[1]
     adj = np.zeros((n, n))
-    for (src, dst), w in directed.items():
-        adj[src, dst] = w
-    adj = np.maximum(adj, adj.T)
-    return Graph(n_nodes=n, edges=_edge_triples(adj), adjacency=adj)
+    adj[src[last], dst[last]] = e[last, 2]
+    return Graph(n_nodes=n, adjacency=np.maximum(adj, adj.T))
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
@@ -196,32 +207,25 @@ def perturb_graph(g: Graph, ratio: float, mode: str, seed: int) -> Graph:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
     if mode not in ("add", "remove", "both"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
-    if mode in ("remove", "both") and len(g.edges) == 0:
+    rows, cols, _ = _upper_triangle(g.adjacency)
+    if mode in ("remove", "both") and len(rows) == 0:
         raise ValueError("cannot remove edges from an empty graph")
     rng = np.random.default_rng(seed)
-    n_touch = int(ratio * len(g.edges))
+    n_touch = int(ratio * len(rows))
     adj = g.adjacency.copy()
 
     if mode in ("remove", "both") and n_touch > 0:
-        existing = [(i, j) for (i, j, _) in g.edges]
-        picks = rng.choice(len(existing), size=n_touch, replace=False)
-        for k in picks:
-            i, j = existing[k]
-            adj[i, j] = 0.0
-            adj[j, i] = 0.0
+        picks = rng.choice(len(rows), size=n_touch, replace=False)
+        adj[rows[picks], cols[picks]] = adj[cols[picks], rows[picks]] = 0.0
 
     if mode in ("add", "both") and n_touch > 0:
-        n = g.n_nodes
-        tri = np.triu_indices(n, k=1)
+        tri = np.triu_indices(g.n_nodes, k=1)
         free = np.flatnonzero(adj[tri] == 0.0)
         if n_touch > len(free):
             raise ValueError(
                 f"requested {n_touch} additions but only {len(free)} non-edges exist"
             )
-        picks = rng.choice(len(free), size=n_touch, replace=False)
-        for k in free[picks]:
-            i, j = tri[0][k], tri[1][k]
-            adj[i, j] = 1.0
-            adj[j, i] = 1.0
+        picks = free[rng.choice(len(free), size=n_touch, replace=False)]
+        adj[tri[0][picks], tri[1][picks]] = adj[tri[1][picks], tri[0][picks]] = 1.0
 
-    return Graph(n_nodes=g.n_nodes, edges=_edge_triples(adj), adjacency=adj)
+    return Graph(n_nodes=g.n_nodes, adjacency=adj)

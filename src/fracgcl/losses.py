@@ -9,12 +9,9 @@ Barlow Twins, VICReg, CCA) form the comparison family used in ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "LossConfig",
     "DegenerateEmbeddingError",
     "NoSpectralGapError",
     "cosmean",
@@ -34,25 +31,6 @@ class DegenerateEmbeddingError(ValueError):
 
 class NoSpectralGapError(RuntimeError):
     """The top two covariance eigenvalues tie, so no single direction dominates."""
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Weights shared by the loss family; all nonnegative."""
-
-    eta: float = 1.0
-    bt_lambda: float = 1.0
-    vicreg_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    vicreg_eps: float = 1.0
-    cca_lambda: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.eta < 0 or self.bt_lambda < 0 or self.cca_lambda < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if len(self.vicreg_weights) != 3 or any(w < 0 for w in self.vicreg_weights):
-            raise ValueError("vicreg_weights must be three nonnegative reals")
-        if self.vicreg_eps <= 0:
-            raise ValueError("vicreg_eps must be positive")
 
 
 def _paired(ya, yb) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """Special functions for fractional calculus.
 
-Provides the Gamma and digamma functions, the one-parameter Mittag-Leffler
+Provides the Gamma function, the one-parameter Mittag-Leffler
 relaxation kernel e_alpha(lam, t) = E_alpha(-lam * t^alpha), its classical
 large-argument asymptotic expansion, and its derivative with respect to the
 order alpha.
@@ -39,7 +39,6 @@ from scipy.integrate import quad  # noqa: F401
 
 __all__ = [
     "gamma",
-    "digamma",
     "ml",
     "ml_spectrum",
     "ml_asymptotic",
@@ -85,21 +84,6 @@ def gamma(x: float) -> float:
     if x <= 0.0 and x == math.floor(x):
         raise ValueError(f"gamma: pole at nonpositive integer x={x}")
     return float(_sps.gamma(x))
-
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of Gamma, for positive arguments only.
-
-    Args:
-        x: evaluation point, x > 0.
-
-    Returns:
-        psi(x) = d/dx log Gamma(x).
-    """
-    x = float(x)
-    if not (x > 0.0):
-        raise ValueError(f"digamma: argument must be positive, got {x}")
-    return float(_sps.digamma(x))
 
 
 def _validate_ml_args(alpha: float, lams: np.ndarray, t: float) -> None:

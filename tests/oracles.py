@@ -6,11 +6,12 @@ sums the Maclaurin series at 40+ digits (where cancellation is harmless) and
 cross-checks against Talbot inversion of the Laplace transform; derivatives
 come from mpmath's numerical differentiation of the series, or from Talbot
 inversion of the transform's order derivative where the series converges
-too slowly.
+too slowly.  The graph oracles are plain Python loops over lists.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import mpmath as mp
@@ -88,3 +89,25 @@ def component_count(adjacency) -> int:
                     seen[v] = True
                     queue.append(v)
     return count
+
+
+def adjacency_oracle(n: int, edge_list) -> list[list[float]]:
+    """Dense adjacency of a directed edge list by a per-edge dict loop.
+
+    Per direction the last occurrence of a (src, dst) pair wins; the graph
+    is then symmetrized by the larger of the two directions.  An invalid
+    edge raises ValueError("edge k: ...") naming the first bad index k.
+    """
+    directed = {}
+    for k, (src, dst, w) in enumerate(edge_list):
+        src, dst, w = int(src), int(dst), float(w)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"edge {k}: index ({src}, {dst}) out of range for n={n}")
+        if w < 0.0 or not math.isfinite(w):
+            raise ValueError(f"edge {k}: weight must be finite and >= 0, got {w}")
+        directed[(src, dst)] = w
+    adj = [[0.0] * n for _ in range(n)]
+    for (src, dst), w in directed.items():
+        adj[src][dst] = max(w, directed.get((dst, src), 0.0))
+        adj[dst][src] = adj[src][dst]
+    return adj

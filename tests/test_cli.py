@@ -114,6 +114,16 @@ class TestConfigHandling:
         assert rc == 1
         assert "JSON" in capsys.readouterr().err
 
+    def test_bad_edge_exits_1_naming_the_line(self, tmp_path, dataset_dir, capsys):
+        (dataset_dir / "edges.csv").write_text("src,dst,weight\n0,1,1.0\n0,99,1.0\n")
+        cfg = _write_config(
+            tmp_path,
+            "cfg.json",
+            {"dataset": _dataset_section(dataset_dir), "output_dir": str(tmp_path / "o")},
+        )
+        assert main(["probe", "--config", cfg]) == 1
+        assert "edges.csv:3" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "subcommand" in capsys.readouterr().out.lower() or True

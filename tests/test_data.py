@@ -17,7 +17,13 @@ from fracgcl.data import (
     synth_path,
     synth_sbm,
 )
-from fracgcl.graphs import eigendecompose, n_components, normalized_laplacian
+from fracgcl.graphs import (
+    build_graph,
+    eigendecompose,
+    n_components,
+    normalized_laplacian,
+    perturb_graph,
+)
 
 
 def _spec(**kw):
@@ -133,6 +139,29 @@ class TestSynthSbm:
     def test_outputs_pinned(self, seed, digest):
         ds = synth_sbm(_spec(n=90, p_in=0.3, p_out=0.05, seed=seed))
         assert _dataset_digest(ds) == digest
+
+    # recorded with the per-edge Python loops of build_graph, perturb_graph
+    # and save_dataset; the array paths must reproduce them bit for bit
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("add", "80f435eb92bfb8e7f39dc2dfc0be8bade339af2281b75e8ba76479acb8763fe9"),
+            ("remove", "fe8fbfceca80730625311f2aef69b083e99913496059b53f456e18d5fd0cce01"),
+            ("both", "f3c463415bde39deede6fec9e990d56f79764407b5218961e2b3cb78f7d34c51"),
+        ],
+    )
+    def test_perturbation_pinned(self, mode, digest):
+        ds = synth_sbm(_spec(n=90, p_in=0.3, p_out=0.05, seed=0))
+        adj = perturb_graph(ds.graph, 0.3, mode, seed=4).adjacency
+        assert hashlib.sha256(np.ascontiguousarray(adj).tobytes()).hexdigest() == digest
+
+    def test_edge_file_bytes_pinned(self, tmp_path):
+        ds = synth_sbm(_spec(n=90, p_in=0.3, p_out=0.05, seed=0))
+        paths = [str(tmp_path / name) for name in ("e.csv", "f.csv", "l.csv", "s.json")]
+        save_dataset(ds, *paths)
+        with open(paths[0], "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "fdc4db2e01be5870f6c7eb57579e28d4d89e8bee9d8ed9c5030861cfa1d2fef0"
 
     def test_same_seed_bitwise_identical(self):
         a = synth_sbm(_spec())
@@ -354,6 +383,69 @@ class TestDatasetFiles:
         (tmp_path / "splits.json").write_text("{}")
         with pytest.raises(ValueError, match="exceeds node count"):
             load_dataset(e, f, l, s)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("1,0,nan", "weight must be finite"),
+            ("0,1,-2", "weight must be finite"),
+            ("0,1,inf", "weight must be finite"),
+            ("1,7,1", "exceeds node count 2"),
+            ("-1,0,1", "exceeds node count 2"),
+            ("1.5,0,1", "malformed edge"),
+            ("1e0,0,1", "malformed edge"),
+            ("0,1", "malformed edge"),
+            ("0,1,1 # note", "malformed edge"),
+        ],
+    )
+    def test_bad_edge_names_file_and_line(self, tmp_path, row, reason):
+        e, f, l, s = self._paths(tmp_path)
+        # a blank line and a later bad edge: the error names the first bad line
+        (tmp_path / "edges.csv").write_text(f"src,dst,weight\n0,1,1.0\n\n{row}\n9,9,-1\n")
+        (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n")
+        (tmp_path / "labels.csv").write_text("node,label\n")
+        (tmp_path / "splits.json").write_text("{}")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(e, f, l, s)
+        assert str(exc.value).startswith(f"{e}:4: ")
+        assert reason in str(exc.value)
+
+    @pytest.mark.parametrize("bad_line", [2, 3, 600, 1001])
+    def test_first_malformed_line_among_many(self, tmp_path, bad_line):
+        e, f, l, s = self._paths(tmp_path)
+        lines = ["0,1,1.0"] * 999 + ["0,1,1;0"]  # a later malformed line
+        lines[bad_line - 2] = "0,x,1.0"
+        lines.insert(400, "")  # line 402 is blank
+        bad_line += bad_line >= 402
+        (tmp_path / "edges.csv").write_text("src,dst,weight\n" + "\n".join(lines))
+        (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n")
+        (tmp_path / "labels.csv").write_text("node,label\n")
+        (tmp_path / "splits.json").write_text("{}")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(e, f, l, s)
+        assert str(exc.value).startswith(f"{e}:{bad_line}: malformed edge")
+
+    def test_crlf_blank_lines_and_empty_body(self, tmp_path):
+        e, f, l, s = self._paths(tmp_path)
+        (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n0.5\n")
+        (tmp_path / "labels.csv").write_text("node,label\n")
+        (tmp_path / "splits.json").write_text("{}")
+        (tmp_path / "edges.csv").write_bytes(b"src,dst,weight\r\n\r\n 2 , 1 ,0.25\r\n")
+        ds = load_dataset(e, f, l, s)
+        assert ds.graph.edges == ((1, 2, 0.25),)
+        (tmp_path / "edges.csv").write_text("src,dst,weight\n\n")
+        assert load_dataset(e, f, l, s).graph.edges == ()
+
+    def test_edge_file_bytes_for_fractional_weights(self, tmp_path):
+        g = build_graph(3, [(1, 0, 0.1), (1, 2, 1 / 3), (2, 2, 2.5e-300)])
+        ds = Dataset(g, np.eye(3), np.zeros(3, dtype=int))
+        paths = self._paths(tmp_path)
+        save_dataset(ds, *paths)
+        assert (tmp_path / "edges.csv").read_text() == (
+            "src,dst,weight\n0,1,0.10000000000000001\n"
+            "1,2,0.33333333333333331\n2,2,2.5e-300\n"
+        )
+        assert np.array_equal(load_dataset(*paths).graph.adjacency, g.adjacency)
 
     def test_label_for_unknown_node(self, tmp_path):
         e, f, l, s = self._paths(tmp_path)

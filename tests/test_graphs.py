@@ -1,7 +1,11 @@
 """Tests for graph construction and spectral operations."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracgcl.graphs import (
     Graph,
@@ -14,7 +18,7 @@ from fracgcl.graphs import (
     perturb_graph,
 )
 
-from oracles import component_count
+from oracles import adjacency_oracle, component_count
 
 
 def cycle_edges(n):
@@ -29,7 +33,48 @@ def random_graph(n, p, seed):
     return build_graph(n, edges)
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, edges) with duplicates, both directions, self-loops and zero
+    weights; some lists also carry up to two invalid edges."""
+    n = draw(st.integers(1, 5))
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+    edges = draw(st.lists(st.tuples(node, node, weight), max_size=24))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        bad = draw(
+            st.one_of(
+                st.tuples(st.sampled_from([-1, n, n + 3]), node, weight),
+                st.tuples(node, st.sampled_from([-1, n]), weight),
+                st.tuples(node, node, st.sampled_from([-1.0, math.nan, math.inf])),
+            )
+        )
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
 class TestBuildGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(case=edge_lists())
+    def test_matches_dict_loop_oracle(self, case):
+        n, edges = case
+        forms = (edges, np.array(edges, dtype=float).reshape(-1, 3))
+        try:
+            ref = adjacency_oracle(n, edges)
+        except ValueError as exc:
+            first_bad = str(exc).split(":")[0]  # "edge k"
+            for form in forms:
+                with pytest.raises(ValueError, match=rf"^{first_bad}: "):
+                    build_graph(n, form)
+            return
+        canonical = tuple(
+            (i, j, ref[i][j]) for i in range(n) for j in range(i, n) if ref[i][j] > 0.0
+        )
+        for form in forms:
+            g = build_graph(n, form)
+            assert np.array_equal(g.adjacency, np.array(ref).reshape(n, n))
+            assert g.edges == canonical
+
     def test_single_edge_symmetric(self):
         g = build_graph(2, [(0, 1, 1.0)])
         assert g.adjacency[0, 1] == 1.0 and g.adjacency[1, 0] == 1.0

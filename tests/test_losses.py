@@ -5,7 +5,6 @@ import pytest
 
 from fracgcl.losses import (
     DegenerateEmbeddingError,
-    LossConfig,
     NoSpectralGapError,
     barlow_twins,
     cca_loss,
@@ -22,19 +21,6 @@ COL_A = np.array([1.0, 1.0, -1.0, -1.0])
 COL_B = np.array([1.0, -1.0, 1.0, -1.0])
 # correlated with COL_A at exactly 1/sqrt(2), still unit variance
 COL_C = (COL_A + COL_B) / np.sqrt(2.0)
-
-
-class TestConfig:
-    def test_defaults_valid(self):
-        LossConfig()
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            LossConfig(eta=-0.1)
-        with pytest.raises(ValueError):
-            LossConfig(vicreg_weights=(1.0, -1.0, 1.0))
-        with pytest.raises(ValueError):
-            LossConfig(vicreg_eps=0.0)
 
 
 class TestCosmean:

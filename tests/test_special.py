@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx
+from scipy.special import digamma, erfcx
 
-from fracgcl.special import digamma, dml_dalpha, gamma, ml, ml_asymptotic, ml_spectrum
+from fracgcl.special import dml_dalpha, gamma, ml, ml_asymptotic, ml_spectrum
 
 from oracles import (
     dml_oracle,
@@ -69,30 +69,6 @@ class TestGamma:
         for x in xs:
             ref = gamma_oracle(x)
             assert gamma(x) == pytest.approx(ref, rel=1e-12)
-
-
-class TestDigamma:
-    def test_known_values(self):
-        euler = 0.5772156649015328606065
-        assert digamma(1.0) == pytest.approx(-euler, rel=1e-13)
-        assert digamma(2.0) == pytest.approx(1.0 - euler, rel=1e-13)
-        assert digamma(0.5) == pytest.approx(-euler - 2.0 * math.log(2.0), rel=1e-13)
-
-    def test_recurrence(self):
-        for x in (0.3, 1.7, 4.2):
-            assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-12)
-
-    def test_matches_log_gamma_slope(self):
-        h = 1e-6
-        for x in (0.4, 1.0, 3.5, 12.0):
-            fd = (math.lgamma(x + h) - math.lgamma(x - h)) / (2.0 * h)
-            assert abs(digamma(x) - fd) < 1e-8
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-1.5)
 
 
 class TestMl:
