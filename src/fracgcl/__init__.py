@@ -11,7 +11,7 @@ line (`cli`).
 from .data import Dataset, SynthSpec, load_dataset, synth_sbm
 from .encoder import EncoderBank, EncoderParams, ViewEmbedding
 from .graphs import Graph, SpectralBasis, build_graph, eigendecompose, normalized_laplacian
-from .solver import DiffusionSpec, solve_caputo_pc, solve_linear_spectral, solve_with_skips
+from .solver import solve_caputo_pc, solve_linear_spectral, solve_with_skips
 from .special import dml_dalpha, ml, ml_asymptotic, ml_spectrum
 from .training import TrainConfig, TrainReport, avla, grad_loss, tune_beta
 
@@ -30,7 +30,6 @@ __all__ = [
     "build_graph",
     "eigendecompose",
     "normalized_laplacian",
-    "DiffusionSpec",
     "solve_caputo_pc",
     "solve_linear_spectral",
     "solve_with_skips",

@@ -84,7 +84,6 @@ _DEFAULTS = {
         "clip_eps": 1e-4,
         "merge_delta": 1e-4,
         "eta": 1.0,
-        "grad_mode": "analytic",
         "horizon": 20.0,
         "d_hid": None,
         "activation": "relu",

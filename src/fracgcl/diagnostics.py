@@ -614,6 +614,7 @@ def stability_harness(
             raise ValueError("alpha must lie in (0, 1]")
         alphas = [alpha_ref]
 
+    twin = None  # the rewired graph's basis, in topology mode
     if isinstance(perturbation, InitStatePerturbation):
         if perturbation.eps <= 0:
             raise ValueError("eps must be positive")
@@ -625,22 +626,8 @@ def stability_harness(
         norm = np.linalg.norm(direction)
         if norm == 0:
             raise ValueError("direction must be nonzero")
-        if bank is None:
-            deltas = [perturbation.eps * direction / norm]
-        else:
-            deltas = [perturbation.eps * direction / norm] * len(alphas)
         eps = perturbation.eps
-        disc = np.array(
-            [
-                np.sqrt(
-                    sum(
-                        np.linalg.norm(solve_linear_spectral(basis, d, a, t)) ** 2
-                        for a, d in zip(alphas, deltas)
-                    )
-                )
-                for t in times
-            ]
-        )
+        delta = eps * direction / norm
     elif isinstance(perturbation, WeightPerturbation):
         if bank is None:
             raise ValueError("weight perturbation needs an encoder bank")
@@ -648,45 +635,31 @@ def stability_harness(
         eps = float(np.linalg.norm(delta))
         if eps == 0:
             raise ValueError("weight perturbation is zero")
-        disc = np.array(
-            [
-                np.sqrt(
-                    sum(
-                        np.linalg.norm(solve_linear_spectral(basis, delta, a, t)) ** 2
-                        for a in alphas
-                    )
-                )
-                for t in times
-            ]
-        )
     elif isinstance(perturbation, TopologyPerturbation):
         twisted = perturb_graph(
             perturbation.graph, perturbation.ratio, perturbation.mode,
             perturbation.seed,
         )
-        basis2 = eigendecompose(normalized_laplacian(twisted))
-        lap1 = normalized_laplacian(perturbation.graph)
         lap2 = normalized_laplacian(twisted)
+        twin = eigendecompose(lap2)
+        lap1 = normalized_laplacian(perturbation.graph)
         eps = float(np.linalg.norm(lap1 - lap2, ord=2))
         if eps == 0:
             raise ValueError("topology perturbation changed nothing")
-        disc = np.array(
-            [
-                np.sqrt(
-                    sum(
-                        np.linalg.norm(
-                            solve_linear_spectral(basis, state, a, t)
-                            - solve_linear_spectral(basis2, state, a, t)
-                        )
-                        ** 2
-                        for a in alphas
-                    )
-                )
-                for t in times
-            ]
-        )
     else:
         raise TypeError(f"unknown perturbation {type(perturbation).__name__}")
+
+    def gap(a, t):
+        """Perturbed minus unperturbed view of order a at time t."""
+        if twin is None:  # the solve is linear, so the offset diffuses alone
+            return solve_linear_spectral(basis, delta, a, t)
+        return solve_linear_spectral(basis, state, a, t) - solve_linear_spectral(
+            twin, state, a, t
+        )
+
+    disc = np.array(
+        [np.sqrt(sum(np.linalg.norm(gap(a, t)) ** 2 for a in alphas)) for t in times]
+    )
 
     envelope = eps * times ** (alpha_ref - 1.0)
     c_fit = float(disc[0] / envelope[0])

@@ -10,17 +10,14 @@ Three routes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .graphs import SpectralBasis
-from .special import ml_spectrum
+from .special import gamma, ml_spectrum
 
 __all__ = [
-    "DiffusionSpec",
     "Trajectory",
     "BlowUpError",
     "solve_linear_spectral",
@@ -37,32 +34,6 @@ class BlowUpError(RuntimeError):
         super().__init__(f"non-finite state at step {step} (t = {time:g})")
         self.step = step
         self.time = time
-
-
-@dataclass(frozen=True)
-class DiffusionSpec:
-    """Parameters of one diffusion run."""
-
-    alpha: float  # fractional order in (0, 1]
-    horizon_T: float  # total diffusion time
-    step_h: float | None = None  # stepper resolution; unused by spectral paths
-    skip_tau: float | None = None  # per-segment time when skips are enabled
-    skip_m: int | None = None  # number of skip segments
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.horizon_T > 0.0):
-            raise ValueError("horizon_T must be positive")
-        if self.step_h is not None and not (self.step_h > 0.0):
-            raise ValueError("step_h must be positive")
-        if (self.skip_tau is None) != (self.skip_m is None):
-            raise ValueError("skip_tau and skip_m must be set together")
-        if self.skip_tau is not None:
-            if self.skip_tau <= 0.0 or self.skip_m < 1:
-                raise ValueError("skip_tau must be > 0 and skip_m >= 1")
-            if abs(self.skip_m * self.skip_tau - self.horizon_T) > 1e-9:
-                raise ValueError("skip_m * skip_tau must equal horizon_T")
 
 
 @dataclass(frozen=True)
@@ -160,8 +131,8 @@ def solve_caputo_pc(
     pow_a = idx**alpha
     pow_a1 = idx ** (alpha + 1.0)
     h_a = h**alpha
-    inv_gamma_a = 1.0 / _gamma(alpha)
-    inv_gamma_a2 = 1.0 / _gamma(alpha + 2.0)
+    inv_gamma_a = 1.0 / gamma(alpha)
+    inv_gamma_a2 = 1.0 / gamma(alpha + 2.0)
 
     states = [y0.copy()]
     f_hist = np.empty((n_steps + 1,) + shape)

@@ -9,7 +9,7 @@ no merge, leaving a set of well-separated views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .encoder import (
     _activation,
     _diffuse,
     combine_views,
-    encoder_forward,
     init_encoder_params,
 )
 from .graphs import SpectralBasis
@@ -28,7 +27,6 @@ from .losses import (
     NoSpectralGapError,
     _principal_axis,
     cosmean,
-    total_loss,
 )
 
 __all__ = [
@@ -42,9 +40,6 @@ __all__ = [
     "tune_beta",
 ]
 
-_GRAD_MODES = ("analytic", "finite_difference")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for the training loop; see avla for their interaction."""
@@ -57,7 +52,6 @@ class TrainConfig:
     merge_delta: float = 1e-4
     eta: float = 1.0
     seed: int = 0
-    grad_mode: str = "analytic"
 
     def __post_init__(self) -> None:
         if self.k_init < 2:
@@ -72,8 +66,6 @@ class TrainConfig:
             raise ValueError(f"merge_delta must be positive, got {self.merge_delta}")
         if self.eta < 0.0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if self.grad_mode not in _GRAD_MODES:
-            raise ValueError(f"grad_mode must be one of {_GRAD_MODES}")
 
 
 @dataclass(frozen=True)
@@ -170,9 +162,8 @@ def _direction_states(outs, alpha_list):
     return states
 
 
-def _analytic_loss_and_grads(
-    basis, features, w_list, alpha_list, horizons, eta, activation
-):
+def _loss_and_grads(basis, features, w_list, alpha_list, horizons, eta, activation):
+    """Loss and analytic gradients; FloatingPointError if either is non-finite."""
     u = basis.eigenvectors
     k = len(w_list)
     spectra, damps, sens, outs, masks = _forward_pieces(
@@ -197,70 +188,16 @@ def _analytic_loss_and_grads(
             if sign != 0.0:
                 d_out[i] += eta * _penalty_grad(*states[i], vj, sign)
                 d_out[j] += eta * _penalty_grad(*states[j], vi, sign)
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"non-finite loss {loss}")
     grads_w = []
     grads_a = []
     for i in range(k):
         d_pre_spec = u.T @ (d_out[i] * masks[i])
         grads_w.append(features.T @ (u @ (damps[i][:, None] * d_pre_spec)))
         grads_a.append(float(np.sum(d_pre_spec * (sens[i][:, None] * spectra[i]))))
-    return loss, BankGradients(w=tuple(grads_w), alpha=tuple(grads_a))
-
-
-def _fd_loss(basis, features, w_list, alpha_list, horizons, eta, activation):
-    views = [
-        encoder_forward(
-            basis, features, EncoderParams(w, a, h), activation
-        ).matrix
-        for w, a, h in zip(w_list, alpha_list, horizons)
-    ]
-    if eta != 0.0:
-        _direction_states(views, alpha_list)  # names a collapsed view
-    return total_loss(views, eta), views
-
-
-def _fd_loss_and_grads(
-    basis, features, w_list, alpha_list, horizons, eta, activation,
-    step=1e-5, w_coords=None,
-):
-    loss, base_views = _fd_loss(
-        basis, features, w_list, alpha_list, horizons, eta, activation
-    )
-
-    def loss_with_view(idx, w, a):
-        view = encoder_forward(
-            basis, features, EncoderParams(w, a, horizons[idx]), activation
-        ).matrix
-        swapped = list(base_views)
-        swapped[idx] = view
-        return total_loss(swapped, eta)
-
-    grads_a = []
-    for idx, a in enumerate(alpha_list):
-        # central difference, falling back to a second-order one-sided
-        # stencil at the order's domain boundary
-        if a + step <= 1.0:
-            up = loss_with_view(idx, w_list[idx], a + step)
-            down = loss_with_view(idx, w_list[idx], a - step)
-            grads_a.append((up - down) / (2 * step))
-        else:
-            down = loss_with_view(idx, w_list[idx], a - step)
-            down2 = loss_with_view(idx, w_list[idx], a - 2 * step)
-            grads_a.append((3 * loss - 4 * down + down2) / (2 * step))
-    grads_w = [np.zeros_like(w) for w in w_list]
-    if w_coords is None:
-        w_coords = [
-            (idx, i, j)
-            for idx, w in enumerate(w_list)
-            for i in range(w.shape[0])
-            for j in range(w.shape[1])
-        ]
-    for idx, i, j in w_coords:
-        bumped = w_list[idx].copy()
-        bumped[i, j] += step
-        up = loss_with_view(idx, bumped, alpha_list[idx])
-        bumped[i, j] -= 2 * step
-        down = loss_with_view(idx, bumped, alpha_list[idx])
-        grads_w[idx][i, j] = (up - down) / (2 * step)
+    if not all(np.all(np.isfinite(g)) for g in (grads_a, *grads_w)):
+        raise FloatingPointError("non-finite gradient")
     return loss, BankGradients(w=tuple(grads_w), alpha=tuple(grads_a))
 
 
@@ -269,36 +206,23 @@ def grad_loss(
     features: np.ndarray,
     bank: EncoderBank,
     eta: float,
-    mode: str = "analytic",
     activation: str = "relu",
-    fd_step: float = 1e-5,
-    fd_w_coords=None,
 ) -> BankGradients:
     """Gradients of the total contrastive loss over all bank parameters.
 
-    Analytic mode chains the loss through the activation, the per-frequency
-    relaxation multipliers (order sensitivity from ml_spectrum), and the
-    projection.  Finite-difference mode recomputes the loss under small
-    parameter bumps; fd_w_coords restricts which weight entries are probed
-    (None probes all of them, unprobed entries read 0).
+    Chains the loss through the activation, the per-frequency relaxation
+    multipliers (order sensitivity from ml_spectrum), and the projection.
+    Raises FloatingPointError if the loss or any gradient is non-finite.
     """
-    if mode not in _GRAD_MODES:
-        raise ValueError(f"mode must be one of {_GRAD_MODES}")
-    w_list = [p.weights for p in bank.encoders]
-    alpha_list = [p.alpha for p in bank.encoders]
-    horizons = [p.horizon for p in bank.encoders]
-    if mode == "analytic":
-        _, grads = _analytic_loss_and_grads(
-            basis, features, w_list, alpha_list, horizons, eta, activation
-        )
-    else:
-        _, grads = _fd_loss_and_grads(
-            basis, features, w_list, alpha_list, horizons, eta, activation,
-            fd_step, fd_w_coords,
-        )
-    for gw, ga in zip(grads.w, grads.alpha):
-        if not (np.all(np.isfinite(gw)) and np.isfinite(ga)):
-            raise FloatingPointError("non-finite gradient")
+    _, grads = _loss_and_grads(
+        basis,
+        features,
+        [p.weights for p in bank.encoders],
+        [p.alpha for p in bank.encoders],
+        [p.horizon for p in bank.encoders],
+        eta,
+        activation,
+    )
     return grads
 
 
@@ -379,9 +303,6 @@ def avla(
             )
         if any(not 0.0 < a <= 1.0 for a in alphas):
             raise ValueError("initial orders must lie in (0, 1]")
-    loss_and_grads = (
-        _analytic_loss_and_grads if cfg.grad_mode == "analytic" else _fd_loss_and_grads
-    )
     losses: list[float] = []
     traces = []
     events = []
@@ -395,14 +316,10 @@ def avla(
         trace = [list(a_list)]
         for epoch in range(cfg.epochs_n):
             try:
-                loss, grads = loss_and_grads(
+                loss, grads = _loss_and_grads(
                     basis, x, w_list, a_list, horizons, cfg.eta, activation
                 )
-                if not np.isfinite(loss):
-                    raise FloatingPointError(f"non-finite loss {loss}")
-            except (
-                FloatingPointError, DegenerateEmbeddingError, NoSpectralGapError
-            ) as exc:
+            except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"training round {round_idx}, epoch {epoch}: {exc}"
                 ) from exc

@@ -6,7 +6,8 @@ sums the Maclaurin series at 40+ digits (where cancellation is harmless) and
 cross-checks against Talbot inversion of the Laplace transform; derivatives
 come from mpmath's numerical differentiation of the series, or from Talbot
 inversion of the transform's order derivative where the series converges
-too slowly.  The graph oracles are plain Python loops over lists.
+too slowly.  The graph oracles are plain Python loops over lists.  The
+gradient oracle differences the public forward pass and loss in float64.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import math
 from collections import deque
 
 import mpmath as mp
+import numpy as np
+
+from fracgcl.encoder import EncoderParams, encoder_forward
+from fracgcl.losses import total_loss
+from fracgcl.training import BankGradients
 
 
 def ml_oracle(alpha: float, lam: float, t: float, dps: int = 40) -> float:
@@ -111,3 +117,52 @@ def adjacency_oracle(n: int, edge_list) -> list[list[float]]:
         adj[src][dst] = max(w, directed.get((dst, src), 0.0))
         adj[dst][src] = adj[src][dst]
     return adj
+
+
+def fd_grad(basis, features, bank, eta, activation, step=1e-5, coords=None):
+    """Finite-difference gradient of total_loss over every bank parameter.
+
+    Each bump re-runs encoder_forward for the one encoder it touches.
+    Orders use the central difference, or the second-order one-sided
+    stencil (3 f(a) - 4 f(a - h) + f(a - 2h)) / 2h where a + h leaves (0, 1].
+    coords restricts the probed weight entries to (encoder, row, col)
+    triples; None probes all of them, and unprobed entries read 0.
+    """
+    encoders = bank.encoders
+
+    def view(idx, w, a):
+        params = EncoderParams(w, a, encoders[idx].horizon)
+        return encoder_forward(basis, features, params, activation).matrix
+
+    base = [view(idx, e.weights, e.alpha) for idx, e in enumerate(encoders)]
+    loss = total_loss(base, eta)
+
+    def loss_with_view(idx, w, a):
+        swapped = list(base)
+        swapped[idx] = view(idx, w, a)
+        return total_loss(swapped, eta)
+
+    grads_a = []
+    for idx, e in enumerate(encoders):
+        a = e.alpha
+        if a + step <= 1.0:
+            up = loss_with_view(idx, e.weights, a + step)
+            down = loss_with_view(idx, e.weights, a - step)
+            grads_a.append((up - down) / (2 * step))
+        else:
+            down = loss_with_view(idx, e.weights, a - step)
+            down2 = loss_with_view(idx, e.weights, a - 2 * step)
+            grads_a.append((3 * loss - 4 * down + down2) / (2 * step))
+    grads_w = [np.zeros_like(e.weights) for e in encoders]
+    if coords is None:
+        coords = [
+            (idx, i, j) for idx, g in enumerate(grads_w) for i, j in np.ndindex(g.shape)
+        ]
+    for idx, i, j in coords:
+        bumped = encoders[idx].weights.copy()
+        bumped[i, j] += step
+        up = loss_with_view(idx, bumped, encoders[idx].alpha)
+        bumped[i, j] -= 2 * step
+        down = loss_with_view(idx, bumped, encoders[idx].alpha)
+        grads_w[idx][i, j] = (up - down) / (2 * step)
+    return BankGradients(w=tuple(grads_w), alpha=tuple(grads_a))

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from conftest import cycle_graph, random_connected_graph
+from oracles import fd_grad
 from scipy.special import erfc
 
 from fracgcl.data import SynthSpec, synth_sbm
@@ -200,16 +201,14 @@ def test_criterion_07_gradient_correctness():
     rng = np.random.default_rng(20)
     feats = rng.normal(size=(12, 10))
     bank = init_bank(10, 6, [0.2, 0.55, 0.9], horizon=2.0, rng=rng)
-    analytic = grad_loss(basis, feats, bank, eta=0.7, mode="analytic")
+    analytic = grad_loss(basis, feats, bank, eta=0.7)
 
     coord_rng = np.random.default_rng(77)
     coords = []
     for k in range(3):
         flat = coord_rng.choice(100, size=50, replace=False)
         coords += [(k, int(f) // 10, int(f) % 10) for f in flat]
-    fd = grad_loss(
-        basis, feats, bank, eta=0.7, mode="finite_difference", fd_w_coords=coords
-    )
+    fd = fd_grad(basis, feats, bank, 0.7, "relu", coords=coords)
 
     for k, (a, f) in enumerate(zip(analytic.alpha, fd.alpha)):
         rel = abs(a - f) / max(abs(f), 1e-12)

@@ -1,5 +1,8 @@
 """Tests for probes, collapse metrics, theory checks, walks, and stability."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from conftest import cycle_graph, sbm_connected_graph
@@ -522,6 +525,24 @@ class TestWalkSimulators:
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _stability_report(basis, mode):
+    """One harness run per perturbation mode on the 12-cycle, from fixed seeds."""
+    rng = np.random.default_rng(31)
+    y0 = rng.normal(size=(12, 3))
+    times = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+    bank = init_bank(3, 3, [0.3, 0.9], 5.0, np.random.default_rng(2))
+    init = InitStatePerturbation(0.05, rng.normal(size=12))
+    if mode == "init":
+        return stability_harness(basis, y0, 0.6, times, init)
+    if mode == "init-bank":
+        return stability_harness(basis, y0, bank, times, init)
+    if mode == "weight":
+        dw = WeightPerturbation(rng.normal(scale=0.01, size=(3, 3)))
+        return stability_harness(basis, y0, bank, times, dw)
+    g = build_graph(12, [(i, (i + k) % 12, 1.0) for i in range(12) for k in (1, 3)])
+    return stability_harness(basis, y0, 0.6, times, TopologyPerturbation(g, 0.25, seed=5))
+
+
 class TestStability:
     def test_kernel_direction_discrepancy_constant(self, cyc12_basis):
         rng = np.random.default_rng(1)
@@ -643,6 +664,22 @@ class TestStability:
             cyc12_basis, y0, 0.7, times, TopologyPerturbation(g, 0.1, seed=3)
         )
         assert np.array_equal(rep.discrepancy, again.discrepancy)
+
+    # recorded with one discrepancy loop per perturbation type; the shared
+    # loop must reproduce every report bit for bit
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("init", "73cd0c98def01d38568fdcbf7fb4c566870e16926c44b91ffcbe2989ad13355a"),
+            ("init-bank", "18d1be37395c9314fcd970f8e1a63a44e8cc8faec27609b992ee86cb0ad1e0c2"),
+            ("weight", "e638fd02d753e5bce22dcfb4df36e0447befecb66300bf8dd05078433dc7300c"),
+            ("topology", "7c7aaad39cb43fe93bf5d6ab5595fbe09a7d459260df26c17d47fb317afb145a"),
+        ],
+    )
+    def test_reports_pinned(self, cyc12_basis, mode, digest):
+        report = _stability_report(cyc12_basis, mode).to_dict()
+        text = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == digest
 
     def test_grid_validation(self, cyc12_basis):
         pert = InitStatePerturbation(0.01, np.ones(12))

@@ -145,6 +145,14 @@ class TestEigendecompose:
         assert basis.eigenvalues[0] == 0.0
         assert np.allclose(basis.eigenvectors[:, 0], [1 / np.sqrt(2)] * 2, atol=1e-12)
 
+    def test_k2_tie_breaks_to_lowest_index(self):
+        # both entries of the second eigenvector have the same magnitude, so
+        # the lower index decides the sign
+        basis = eigendecompose(normalized_laplacian(build_graph(2, [(0, 1, 1.0)])))
+        col = basis.eigenvectors[:, 1]
+        assert abs(col[0]) == abs(col[1])
+        assert col[0] > 0.0 > col[1]
+
     def test_orthonormal_and_reconstructs(self):
         g = random_graph(20, 0.3, 7)
         lap = normalized_laplacian(g)

@@ -8,7 +8,6 @@ import pytest
 from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian
 from fracgcl.solver import (
     BlowUpError,
-    DiffusionSpec,
     solve_caputo_pc,
     solve_linear_spectral,
     solve_with_skips,
@@ -20,20 +19,6 @@ from conftest import cycle_graph, random_connected_graph
 
 def k2_basis():
     return eigendecompose(normalized_laplacian(build_graph(2, [(0, 1, 1.0)])))
-
-
-class TestDiffusionSpec:
-    def test_valid(self):
-        DiffusionSpec(alpha=0.5, horizon_T=2.0, step_h=1e-2)
-        DiffusionSpec(alpha=1.0, horizon_T=4.0, skip_tau=2.0, skip_m=2)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            DiffusionSpec(alpha=0.0, horizon_T=1.0)
-        with pytest.raises(ValueError):
-            DiffusionSpec(alpha=0.5, horizon_T=1.0, skip_tau=0.3, skip_m=2)
-        with pytest.raises(ValueError):
-            DiffusionSpec(alpha=0.5, horizon_T=1.0, skip_tau=0.5)
 
 
 class TestSpectral:

@@ -5,7 +5,9 @@ import pytest
 from conftest import cycle_graph, random_connected_graph, sbm_connected_graph
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
+from oracles import fd_grad
 
+from fracgcl import training
 from fracgcl.diagnostics import ProbeConfig
 from fracgcl.encoder import EncoderBank, EncoderParams, encoder_forward, init_bank
 from fracgcl.graphs import eigendecompose, normalized_laplacian
@@ -42,7 +44,6 @@ class TestTrainConfig:
             {"clip_eps": 1.0},
             {"merge_delta": 0.0},
             {"eta": -1.0},
-            {"grad_mode": "autodiff"},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -136,10 +137,8 @@ class TestGradLoss:
         rng = np.random.default_rng(1)
         x = np.outer(cyc10_basis.eigenvectors[:, 9], rng.normal(size=3))
         bank = init_bank(3, 3, [0.4, 0.8], 2.0, np.random.default_rng(2))
-        ga = grad_loss(cyc10_basis, x, bank, eta=0.0, mode="analytic", activation=activation)
-        gf = grad_loss(
-            cyc10_basis, x, bank, eta=0.0, mode="finite_difference", activation=activation
-        )
+        ga = grad_loss(cyc10_basis, x, bank, eta=0.0, activation=activation)
+        gf = fd_grad(cyc10_basis, x, bank, 0.0, activation)
         for k in range(2):
             assert abs(ga.alpha[k]) < 1e-8
             assert abs(gf.alpha[k]) < 1e-6
@@ -152,8 +151,8 @@ class TestGradLoss:
         x = np.random.default_rng(100 + seed).normal(size=(12, 4))
         bank = init_bank(4, 3, [0.3, 0.7, 1.0], 2.0, np.random.default_rng(seed))
         for activation in ("relu", "identity"):
-            ga = grad_loss(basis, x, bank, eta, "analytic", activation)
-            gf = grad_loss(basis, x, bank, eta, "finite_difference", activation)
+            ga = grad_loss(basis, x, bank, eta, activation)
+            gf = fd_grad(basis, x, bank, eta, activation)
             assert _max_tensor_gap(ga, gf) < 1e-7
 
     @settings(max_examples=100, deadline=None)
@@ -197,14 +196,9 @@ class TestGradLoss:
                     dominant_direction(v)
                 except (DegenerateEmbeddingError, NoSpectralGapError):
                     reject()
-        ga = grad_loss(basis, x, bank, eta, "analytic", activation)
-        gf = grad_loss(basis, x, bank, eta, "finite_difference", activation)
+        ga = grad_loss(basis, x, bank, eta, activation)
+        gf = fd_grad(basis, x, bank, eta, activation)
         assert _max_tensor_gap(ga, gf) < 1e-7
-
-    def test_bad_mode_rejected(self, cyc10_basis):
-        bank = init_bank(2, 2, [0.4, 0.8], 2.0, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="mode"):
-            grad_loss(cyc10_basis, np.ones((10, 2)), bank, 0.0, mode="exact")
 
 
 class TestAvla:
@@ -313,15 +307,17 @@ class TestAvla:
         with pytest.raises(ValueError, match="n_nodes"):
             avla(cyc10_basis, np.ones((7, 2)), cfg, horizon=2.0)
 
-    def test_finite_difference_mode_runs(self, cyc10_basis):
+    def test_non_finite_gradient_names_round_and_epoch(self, cyc10_basis, monkeypatch):
+        def poisoned(a, b):
+            return np.full_like(a, np.nan), np.full_like(b, np.nan)
+
+        monkeypatch.setattr(training, "_cosmean_pair_grads", poisoned)
         x = np.random.default_rng(9).normal(size=(10, 2))
-        cfg = TrainConfig(
-            k_init=2, epochs_n=1, grad_mode="finite_difference", seed=13
-        )
-        k, finals, _, _ = avla(
-            cyc10_basis, x, cfg, horizon=2.0, alpha_init=[0.3, 0.9]
-        )
-        assert k == 2
+        cfg = TrainConfig(k_init=2, epochs_n=1, seed=13)
+        with pytest.raises(
+            FloatingPointError, match="training round 0, epoch 0: non-finite gradient"
+        ):
+            avla(cyc10_basis, x, cfg, horizon=2.0, alpha_init=[0.3, 0.9])
 
 
 def _beta_fixture(noise_scale, seed=0):
