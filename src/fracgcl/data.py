@@ -42,6 +42,7 @@ _SPLIT_NAMES = ("train", "val", "test")
 _MAGIC = b"FDMV"
 _VERSION = 1
 _EDGE_CSV = dict(dtype="i8,i8,f8", delimiter=",", comments=None, ndmin=1, unpack=True)
+_MATRIX_CSV = dict(dtype=float, delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
 @dataclass(frozen=True)
@@ -235,36 +236,34 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
             raise ValueError(f"{path}: {len(blob) - 24 - expected} trailing bytes")
         flat = np.frombuffer(blob[24:], dtype="<f8")
         return flat.reshape(int(rows), int(cols)).copy()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        width = 0 if header == [""] else len(header)
-        rows_out = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {width} columns, got {len(row)}"
-                )
-            parsed = []
-            for col, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: column {col}: not a number: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise ValueError(
-                        f"{path}:{line_no}: column {col}: non-finite value {cell!r}"
-                    )
-                parsed.append(value)
-            rows_out.append(parsed)
-    return np.array(rows_out, dtype=float).reshape(len(rows_out), width)
+    with open(path) as fh:
+        text = fh.read()
+    if not text:
+        raise ValueError(f"{path}: empty file")
+    header, _, body = text.partition("\n")
+    names = next(csv.reader([header]))
+    width = 0 if names == [""] else len(names)
+
+    def parse(rows: list[str]) -> np.ndarray:
+        m = np.loadtxt(rows, **_MATRIX_CSV) if rows else np.zeros((0, width))
+        if m.shape != (len(rows), width) or not np.isfinite(m).all():
+            raise ValueError
+        return m
+
+    def explain(line: str) -> str:  # per-cell checks, on the first bad line only
+        row = next(csv.reader([line]))
+        if len(row) != width:
+            return f"expected {width} columns, got {len(row)}"
+        for col, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"column {col}: not a number: {cell!r}"
+            if not np.isfinite(value):
+                return f"column {col}: non-finite value {cell!r}"
+        return f"malformed row {line!r}"
+
+    return _parse_lines(path, body, parse, explain)[0]
 
 
 def save_report(report, path: str) -> None:
@@ -273,30 +272,46 @@ def save_report(report, path: str) -> None:
     _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
+def _parse_lines(path: str, body: str, parse, explain):
+    """``parse`` of the nonempty lines after the header, and ``where``.
+
+    ``parse`` raises ValueError if any line is bad; only then does bisection
+    find the first bad line and raise ``file:line: explain(line)``.
+    ``where(k)`` is the file:line of the k-th parsed line.
+    """
+    lines = body.split("\n")
+    rows = list(filter(None, lines))  # loadtxt warns on an empty body
+
+    def where(k: int) -> str:  # runs on errors only
+        return f"{path}:{2 + np.flatnonzero(list(map(len, lines)))[k]}"
+
+    try:
+        return parse(rows), where
+    except ValueError:
+        lo, hi = 0, len(rows)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse(rows[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        raise ValueError(f"{where(lo)}: {explain(rows[lo])}") from None
+
+
 def _read_edges(path: str, n: int) -> np.ndarray:
     """Checked (k, 3) edges of an edges CSV; errors name the first bad line."""
     with open(path) as fh:
         header, _, body = fh.read().partition("\n")
     if next(csv.reader([header]), None) != ["src", "dst", "weight"]:
         raise ValueError(f"{path}:1: expected header 'src,dst,weight'")
-    lines = body.split("\n")
-    rows = list(filter(None, lines))  # loadtxt warns on an empty body
 
-    def where(k: int) -> str:  # file:line of rows[k]; runs on errors only
-        return f"{path}:{2 + np.flatnonzero(list(map(len, lines)))[k]}"
+    def parse(rows: list[str]):
+        return np.loadtxt(rows, **_EDGE_CSV) if rows else np.zeros((3, 0))
 
-    try:
-        src, dst, w = np.loadtxt(rows, **_EDGE_CSV) if rows else np.zeros((3, 0))
-    except ValueError:
-        lo, hi = 0, len(rows)  # bisect for the first row that fails to parse
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                np.loadtxt(rows[lo:mid], **_EDGE_CSV)
-                lo = mid
-            except ValueError:
-                hi = mid
-        raise ValueError(f"{where(lo)}: malformed edge {rows[lo]!r}") from None
+    (src, dst, w), where = _parse_lines(
+        path, body, parse, lambda line: f"malformed edge {line!r}"
+    )
     _check_edges(n, src, dst, w, where)
     return np.column_stack((src, dst, w))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .encoder import EncoderBank
 from .graphs import Graph, SpectralBasis, eigendecompose, normalized_laplacian, perturb_graph
@@ -416,6 +415,9 @@ class WalkConfig:
             )
 
     def tail_norm(self) -> float:
+        # imported on first use, so that `import fracgcl` loads no scipy
+        from scipy.special import zeta
+
         return 1.0 / float(zeta(1.0 + self.alpha))
 
     def move_probability(self) -> float:

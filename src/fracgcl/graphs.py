@@ -138,7 +138,7 @@ def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
     lap = np.asarray(laplacian, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("laplacian must be a square matrix")
-    if not np.allclose(lap, lap.T, atol=_SYM_TOL, rtol=0.0):
+    if not np.abs(lap - lap.T).max() <= _SYM_TOL:  # also rejects NaN
         raise ValueError("laplacian must be symmetric")
     vals, vecs = np.linalg.eigh(lap)
     vals = np.where(np.abs(vals) < 1e-12, 0.0, vals)  # scrub eigh noise at zero

@@ -77,6 +77,30 @@ def gamma_oracle(x: float, dps: int = 40) -> float:
         return float(mp.gamma(mp.mpf(float(x))))
 
 
+def tail_coeffs_oracle(alpha: float, lam: float, n_terms: int, dps: int = 40) -> list[float]:
+    """a_j = (-1)^(j+1) / (lam^j Gamma(1 - j alpha)) for j = 1..n_terms."""
+    with mp.workdps(dps):
+        a, lv = mp.mpf(float(alpha)), mp.mpf(float(lam))
+        return [
+            float((-1) ** (j + 1) * mp.rgamma(1 - j * a) / lv**j)
+            for j in range(1, n_terms + 1)
+        ]
+
+
+def ml_asymptotic_oracle(
+    alpha: float, lam: float, tau: float, n_terms: int, dps: int = 40
+) -> float:
+    """The truncated long-time expansion sum_j a_j tau^(-j alpha)."""
+    with mp.workdps(dps):
+        a, lv, tv = mp.mpf(float(alpha)), mp.mpf(float(lam)), mp.mpf(float(tau))
+        return float(
+            mp.fsum(
+                (-1) ** (j + 1) * mp.rgamma(1 - j * a) / lv**j * tv ** (-j * a)
+                for j in range(1, n_terms + 1)
+            )
+        )
+
+
 def component_count(adjacency) -> int:
     """Number of connected components by plain BFS on the adjacency matrix."""
     n = len(adjacency)

@@ -1,10 +1,13 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracgcl
 from fracgcl.cli import main
 from fracgcl.data import (
     Dataset,
@@ -454,3 +457,23 @@ class TestManifestHash:
         h1 = self._hash(tmp_path, "r1", ("--seed", "5", "--threads", "1"))
         h2 = self._hash(tmp_path, "r2", ("--seed", "5", "--threads", "2"))
         assert h1 == h2
+
+
+_IMPORT_CHECK = """
+import sys
+import fracgcl.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+import fracgcl.special, scipy.integrate
+assert fracgcl.special.quad is scipy.integrate.quad
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter; the lazy `special.quad` still resolves by name
+    src = os.path.dirname(os.path.dirname(fracgcl.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHECK], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

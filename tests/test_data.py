@@ -318,6 +318,16 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match=r"2: column 1"):
             load_matrix(str(path))
 
+    def test_csv_first_bad_line_among_many(self, tmp_path):
+        lines = ["f0,f1"] + ["1.0,2.0"] * 2000
+        lines[1499] = "1.0,x"  # file line 1500
+        lines[1699] = "nan,2.0"  # a later non-finite cell
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_matrix(str(path))
+        assert str(exc.value) == f"{path}:1500: column 1: not a number: 'x'"
+
     def test_csv_ragged_row(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("f0,f1\n1.0\n")

@@ -188,6 +188,19 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "upper, lower, accepted",
+        [(0.5 + 2e-10, 0.5, False), (0.5 + 5e-11, 0.5, True), (math.nan, math.nan, False)],
+    )
+    def test_symmetry_bound(self, upper, lower, accepted):
+        # the off-diagonal gap is checked against an absolute 1e-10
+        lap = np.array([[1.0, upper], [lower, 1.0]])
+        if accepted:
+            assert eigendecompose(lap).n == 2
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                eigendecompose(lap)
+
 
 class TestFourier:
     def test_basis_vector_maps_to_indicator(self):

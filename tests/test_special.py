@@ -13,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, erfcx
 
-from fracgcl.special import dml_dalpha, gamma, ml, ml_asymptotic, ml_spectrum
+from fracgcl.special import _tail_coeffs, dml_dalpha, gamma, ml, ml_asymptotic, ml_spectrum
 
 from oracles import (
     dml_oracle,
     dml_oracle_laplace,
     gamma_oracle,
+    ml_asymptotic_oracle,
     ml_oracle,
     ml_oracle_laplace,
+    tail_coeffs_oracle,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -156,6 +158,18 @@ class TestMlAsymptotic:
                 exact = ml(alpha, lam, tau)
                 got = ml_asymptotic(alpha, lam, tau, n)
                 assert abs(got - exact) / exact < 10.0 / tau, (alpha, lam, tau)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
+    def test_matches_oracle(self, alpha):
+        # every term the pole guard allows; the coefficients need Gamma(1 - j alpha)
+        n = math.ceil(1.0 / alpha) - 1
+        for lam in (0.05, 1.0, 2.0):
+            got = _tail_coeffs(alpha, lam, n)
+            assert got == pytest.approx(tail_coeffs_oracle(alpha, lam, n), rel=1e-13)
+            for tau in (1e3, 1e6):
+                assert ml_asymptotic(alpha, lam, tau, n) == pytest.approx(
+                    ml_asymptotic_oracle(alpha, lam, tau, n), rel=1e-13
+                )
 
     def test_pole_guard(self):
         assert ml_asymptotic(0.3, 1.0, 1e3, 3) > 0.0  # 0.9 < 1 valid
