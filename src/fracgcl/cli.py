@@ -11,14 +11,14 @@ One binary, eight subcommands::
     fracgcl walk       --config CFG --out DIR walker occupancy vs closed form
     fracgcl stability  --config CFG --out DIR perturbation growth vs bound
 
-Configuration comes from a JSON file (``--config``); individual keys can be
-overridden on the command line with repeated ``--set section.key=value``
-flags, and ``--seed``/``--out`` always win over the file.  Unknown keys are
-rejected by name.  Every run writes ``manifest.json`` with a hash of the
-semantic configuration (everything except ``output_dir`` and ``threads``),
-the seed, library versions, wall time, and whether a ``--threads`` cap
-took effect.  All files are written atomically and only inside the output
-directory.
+The run configuration is one dict, built in layers: the defaults, then a
+JSON file (``--config``), then each ``--set section.key=value`` in order,
+then ``--seed``/``--out``/``--threads``.  Unknown keys are rejected by name.
+The training and probe defaults are the field defaults of ``TrainConfig``
+and ``ProbeConfig``.  Every run writes ``manifest.json`` with the sha256 of
+the merged configuration minus ``output_dir`` and ``threads``, the seed,
+library versions, wall time, and whether a ``--threads`` cap took effect.
+All files are written atomically and only inside the output directory.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 """
@@ -26,12 +26,13 @@ Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import fields
 
 import numpy as np
 
@@ -57,6 +58,12 @@ from .training import TrainConfig, avla
 
 _VERSION = "0.1.0"
 
+
+def _field_defaults(cls) -> dict:
+    """A config section from a dataclass: its field defaults, minus the seed."""
+    return {f.name: f.default for f in fields(cls) if f.name != "seed"}
+
+
 _DEFAULTS = {
     "seed": 0,
     "threads": None,
@@ -77,23 +84,12 @@ _DEFAULTS = {
         "noise_sigma": 0.3,
     },
     "train": {
-        "k_init": 5,
-        "lr_w": 0.01,
-        "lr_alpha": 0.01,
-        "epochs_n": 50,
-        "clip_eps": 1e-4,
-        "merge_delta": 1e-4,
-        "eta": 1.0,
+        **_field_defaults(TrainConfig),
         "horizon": 20.0,
         "d_hid": None,
         "activation": "relu",
     },
-    "probe": {
-        "l2_weight": 1e-4,
-        "epochs": 300,
-        "lr": 0.5,
-        "embedding": None,
-    },
+    "probe": {**_field_defaults(ProbeConfig), "embedding": None},
     "embed": {
         "bank_dir": None,
         "beta": None,
@@ -137,6 +133,12 @@ _DEFAULTS = {
 
 _NON_SEMANTIC = ("output_dir", "threads")
 
+_TOPOLOGIES = {
+    "cycle": (dio.synth_cycle, ("n",)),
+    "path": (dio.synth_path, ("n",)),
+    "grid": (dio.synth_grid, ("rows", "cols")),
+}
+
 
 def _check_unknown_keys(user: dict) -> None:
     for key, value in user.items():
@@ -148,16 +150,6 @@ def _check_unknown_keys(user: dict) -> None:
             for sub in value:
                 if sub not in _DEFAULTS[key]:
                     raise ValueError(f"unknown config key '{key}.{sub}'")
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(out.get(key), dict) and isinstance(value, dict):
-            out[key] = {**out[key], **value}
-        else:
-            out[key] = value
-    return out
 
 
 def _parse_set_flag(item: str):
@@ -176,77 +168,40 @@ def _parse_set_flag(item: str):
     raise ValueError(f"--set path {path!r} nests too deep")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective configuration after merging defaults, file, and flags."""
+def _load_config(args: argparse.Namespace) -> dict:
+    """The run config: defaults, the --config file, each --set, then the flags."""
+    cfg = copy.deepcopy(_DEFAULTS)
 
-    seed: int
-    threads: int | None
-    output_dir: str
-    dataset: dict = field(default_factory=dict)
-    synth: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    probe: dict = field(default_factory=dict)
-    embed: dict = field(default_factory=dict)
-    diagnose: dict = field(default_factory=dict)
-    walk: dict = field(default_factory=dict)
-    stability: dict = field(default_factory=dict)
+    def apply(layer: dict) -> None:
+        _check_unknown_keys(layer)
+        for key, value in layer.items():
+            if isinstance(cfg[key], dict):
+                cfg[key].update(value)
+            else:
+                cfg[key] = value
 
-    @classmethod
-    def from_sources(cls, args: argparse.Namespace) -> "RunConfig":
-        merged = dict(_DEFAULTS)
-        if args.config is not None:
-            with open(args.config) as fh:
-                try:
-                    file_cfg = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{args.config}:{exc.lineno}: invalid JSON"
-                    ) from None
-            if not isinstance(file_cfg, dict):
-                raise ValueError(f"{args.config}: top level must be an object")
-            _check_unknown_keys(file_cfg)
-            merged = _merge(merged, file_cfg)
-        for item in args.set or ():
-            override = _parse_set_flag(item)
-            _check_unknown_keys(override)
-            merged = _merge(merged, override)
-        if args.seed is not None:
-            merged["seed"] = args.seed
-        if args.out is not None:
-            merged["output_dir"] = args.out
-        if args.threads is not None:
-            merged["threads"] = args.threads
-        if not isinstance(merged["seed"], int):
-            raise ValueError(f"seed must be an integer, got {merged['seed']!r}")
-        return cls(
-            seed=merged["seed"],
-            threads=merged["threads"],
-            output_dir=str(merged["output_dir"]),
-            dataset=merged["dataset"],
-            synth=merged["synth"],
-            train=merged["train"],
-            probe=merged["probe"],
-            embed=merged["embed"],
-            diagnose=merged["diagnose"],
-            walk=merged["walk"],
-            stability=merged["stability"],
-        )
+    if args.config is not None:
+        with open(args.config) as fh:
+            try:
+                layer = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}:{exc.lineno}: invalid JSON") from None
+        if not isinstance(layer, dict):
+            raise ValueError(f"{args.config}: top level must be an object")
+        apply(layer)
+    for item in args.set or ():
+        apply(_parse_set_flag(item))
+    flags = {"seed": args.seed, "output_dir": args.out, "threads": args.threads}
+    apply({key: value for key, value in flags.items() if value is not None})
+    if not isinstance(cfg["seed"], int):
+        raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
+    cfg["output_dir"] = str(cfg["output_dir"])
+    return cfg
 
-    def semantic_hash(self) -> str:
-        body = {
-            "seed": self.seed,
-            "dataset": self.dataset,
-            "synth": self.synth,
-            "train": self.train,
-            "probe": self.probe,
-            "embed": self.embed,
-            "diagnose": self.diagnose,
-            "walk": self.walk,
-            "stability": self.stability,
-        }
-        blob = json.dumps(body, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+
+def _config_hash(cfg: dict) -> str:
+    body = {key: value for key, value in cfg.items() if key not in _NON_SEMANTIC}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def _apply_thread_cap(threads: int | None) -> bool:
@@ -267,12 +222,12 @@ def _apply_thread_cap(threads: int | None) -> bool:
     return True
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    return os.path.join(cfg.output_dir, name)
+def _out_path(cfg: dict, name: str) -> str:
+    return os.path.join(cfg["output_dir"], name)
 
 
-def _load_dataset(cfg: RunConfig) -> dio.Dataset:
-    paths = cfg.dataset
+def _load_dataset(cfg: dict) -> dio.Dataset:
+    paths = cfg["dataset"]
     missing = [k for k in ("edges", "features", "labels", "splits") if not paths.get(k)]
     if missing:
         raise ValueError(f"dataset config is missing path(s): {', '.join(missing)}")
@@ -281,26 +236,27 @@ def _load_dataset(cfg: RunConfig) -> dio.Dataset:
     )
 
 
-def _resolve_graph(cfg: RunConfig, section: dict):
-    """Graph from an inline topology spec, else from the configured dataset."""
-    topology = section.get("topology")
+def _resolve_graph(cfg: dict, name: str):
+    """Graph from section ``name``'s inline topology, else from the dataset."""
+    section = cfg[name]
+    topology = section["topology"]
     if topology is None:
         return _load_dataset(cfg).graph
-    if topology == "cycle":
-        return dio.synth_cycle(int(section["n"]))
-    if topology == "path":
-        return dio.synth_path(int(section["n"]))
-    if topology == "grid":
-        return dio.synth_grid(int(section["rows"]), int(section["cols"]))
-    raise ValueError(f"unknown topology {topology!r}")
+    if topology not in _TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}")
+    make, keys = _TOPOLOGIES[topology]
+    for key in keys:
+        if section[key] is None:
+            raise ValueError(f"{name}.{key} is required for topology {topology!r}")
+    return make(*(int(section[key]) for key in keys))
 
 
 def _nan_to_none(value: float):
     return None if isinstance(value, float) and np.isnan(value) else value
 
 
-def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> None:
-    spec = dio.SynthSpec(seed=cfg.seed, **cfg.synth)
+def cmd_synth(cfg: dict, args: argparse.Namespace) -> None:
+    spec = dio.SynthSpec(seed=cfg["seed"], **cfg["synth"])
     ds = dio.synth_sbm(spec)
     dio.save_dataset(
         ds,
@@ -311,32 +267,32 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
 
 
-def _train_pieces(cfg: RunConfig):
+def _train(cfg: dict):
+    """Train on the configured dataset; returns (bank, report)."""
     ds = _load_dataset(cfg)
     basis = eigendecompose(normalized_laplacian(ds.graph))
-    section = dict(cfg.train)
+    section = dict(cfg["train"])
     horizon = float(section.pop("horizon"))
     d_hid = section.pop("d_hid")
     activation = section.pop("activation")
-    train_cfg = TrainConfig(seed=cfg.seed, **section)
-    k, finals, bank, report = avla(
+    _, _, bank, report = avla(
         basis,
         ds.features,
-        train_cfg,
+        TrainConfig(seed=cfg["seed"], **section),
         horizon,
         d_hid=None if d_hid is None else int(d_hid),
         activation=activation,
     )
-    return ds, basis, k, finals, bank, report, activation
+    return bank, report
 
 
-def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
-    _, _, _, _, bank, report, activation = _train_pieces(cfg)
+def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
+    bank, report = _train(cfg)
     dio.save_report(report, _out_path(cfg, "report.json"))
     meta = {
         "alphas": bank.alphas,
         "horizon": bank.encoders[0].horizon,
-        "activation": activation,
+        "activation": cfg["train"]["activation"],
         "weight_files": [f"w{k}.fdmv" for k in range(len(bank))],
     }
     dio.save_report(meta, _out_path(cfg, "bank.json"))
@@ -344,10 +300,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
         dio.save_matrix(enc.weights, _out_path(cfg, f"w{k}.fdmv"))
 
 
-def cmd_avla_trace(cfg: RunConfig, args: argparse.Namespace) -> None:
-    _, _, k, finals, _, report, _ = _train_pieces(cfg)
-    payload = report.to_dict()
-    payload["k_final"] = k
+def cmd_avla_trace(cfg: dict, args: argparse.Namespace) -> None:
+    _, report = _train(cfg)
+    payload = {**report.to_dict(), "k_final": len(report.final_alphas)}
     dio.save_report(payload, _out_path(cfg, "trace.json"))
 
 
@@ -364,8 +319,8 @@ def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
     return EncoderBank(encoders=tuple(encoders)), meta["activation"]
 
 
-def cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> None:
-    bank_dir = cfg.embed.get("bank_dir") or cfg.output_dir
+def cmd_embed(cfg: dict, args: argparse.Namespace) -> None:
+    bank_dir = cfg["embed"]["bank_dir"] or cfg["output_dir"]
     bank, activation = _load_bank(bank_dir)
     ds = _load_dataset(cfg)
     basis = eigendecompose(normalized_laplacian(ds.graph))
@@ -373,33 +328,28 @@ def cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> None:
         encoder_forward(basis, ds.features, enc, activation=activation)
         for enc in bank.encoders
     ]
-    beta = cfg.embed.get("beta")
+    beta = cfg["embed"]["beta"]
     if beta is None:
         beta = np.full(len(views), 1.0 / len(views))
-    combined = combine_views(views, np.asarray(beta, dtype=float))
+    beta = np.asarray(beta, dtype=float)
+    combined = combine_views(views, beta)
     for k, view in enumerate(views):
         dio.save_matrix(view.matrix, _out_path(cfg, f"view{k}.fdmv"))
     dio.save_matrix(combined, _out_path(cfg, "combined.fdmv"))
-    dio.save_report(
-        {"beta": [float(b) for b in beta], "views": len(views)},
-        _out_path(cfg, "embed.json"),
-    )
+    dio.save_report({"beta": beta, "views": len(views)}, _out_path(cfg, "embed.json"))
 
 
-def _embedding_or_features(cfg: RunConfig, section: dict, ds: dio.Dataset):
-    path = section.get("embedding")
+def _embedding_or_features(section: dict, ds: dio.Dataset):
+    path = section["embedding"]
     return ds.features if path is None else dio.load_matrix(path)
 
 
-def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_probe(cfg: dict, args: argparse.Namespace) -> None:
     ds = _load_dataset(cfg)
-    y = _embedding_or_features(cfg, cfg.probe, ds)
-    probe_cfg = ProbeConfig(
-        l2_weight=cfg.probe["l2_weight"],
-        epochs=cfg.probe["epochs"],
-        lr=cfg.probe["lr"],
-        seed=cfg.seed,
-    )
+    section = cfg["probe"]
+    y = _embedding_or_features(section, ds)
+    knobs = {key: value for key, value in section.items() if key != "embedding"}
+    probe_cfg = ProbeConfig(seed=cfg["seed"], **knobs)
     train_acc, val_acc, test_acc = linear_probe(y, ds.labels, ds.splits, probe_cfg)
     dio.save_report(
         {
@@ -411,39 +361,19 @@ def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> None:
     )
 
 
-def cmd_diagnose(cfg: RunConfig, args: argparse.Namespace) -> None:
-    section = cfg.diagnose
+def cmd_diagnose(cfg: dict, args: argparse.Namespace) -> None:
+    section = cfg["diagnose"]
     which = args.which
-    if which == "rc":
-        ds = _load_dataset(cfg)
-        y = _embedding_or_features(cfg, section, ds)
-        report = {str(c): v for c, v in rc_ratio(y, ds.labels).items()}
-    elif which == "pca":
-        ds = _load_dataset(cfg)
-        y = _embedding_or_features(cfg, section, ds)
-        report = {
-            "energy_spectrum": [float(v) for v in energy_spectrum(y)],
-            "effective_rank": effective_rank(y, theta=float(section["theta"])),
-            "theta": float(section["theta"]),
-        }
-    elif which == "fourier":
-        ds = _load_dataset(cfg)
-        y = _embedding_or_features(cfg, section, ds)
-        basis = eigendecompose(normalized_laplacian(ds.graph))
-        report = {
-            "eigenvalues": [float(v) for v in basis.eigenvalues],
-            "spread": [float(v) for v in fourier_spread(basis, y)],
-        }
-    elif which == "theorem":
-        graph = _resolve_graph(cfg, section)
-        basis = eigendecompose(normalized_laplacian(graph))
-        if section.get("topology") is None:
+    if which == "theorem":
+        if section["topology"] is None:
             ds = _load_dataset(cfg)
+            graph = ds.graph
             signal = ds.features[:, int(section["signal_column"])]
         else:
+            graph = _resolve_graph(cfg, "diagnose")
             signal = np.ones(graph.n_nodes)
         spectral = check_theorem_sgi(
-            basis,
+            eigendecompose(normalized_laplacian(graph)),
             signal,
             alpha_local=float(section["alpha_local"]),
             alpha_global=float(section["alpha_global"]),
@@ -454,26 +384,42 @@ def cmd_diagnose(cfg: RunConfig, args: argparse.Namespace) -> None:
         for name, verdict in sorted(report["verdicts"].items()):
             print(f"{name}: {'PASS' if verdict else 'FAIL'}")
     else:
-        raise ValueError(f"unknown diagnose target {which!r}")
+        ds = _load_dataset(cfg)
+        y = _embedding_or_features(section, ds)
+        if which == "rc":
+            report = {str(c): v for c, v in rc_ratio(y, ds.labels).items()}
+        elif which == "pca":
+            theta = float(section["theta"])
+            report = {
+                "energy_spectrum": energy_spectrum(y),
+                "effective_rank": effective_rank(y, theta=theta),
+                "theta": theta,
+            }
+        else:
+            basis = eigendecompose(normalized_laplacian(ds.graph))
+            report = {
+                "eigenvalues": basis.eigenvalues,
+                "spread": fourier_spread(basis, y),
+            }
     dio.save_report(report, _out_path(cfg, f"diagnose_{which}.json"))
 
 
-def cmd_walk(cfg: RunConfig, args: argparse.Namespace) -> None:
-    section = cfg.walk
-    graph = _resolve_graph(cfg, section)
+def cmd_walk(cfg: dict, args: argparse.Namespace) -> None:
+    section = cfg["walk"]
+    graph = _resolve_graph(cfg, "walk")
     alpha = float(section["alpha"])
     t_end = float(section["t_end"])
     start = int(section["start"])
     n_walkers = int(section["n_walkers"])
     if alpha == 1.0:
-        occupancy = ctmc_walk_sim(graph, t_end, n_walkers, cfg.seed, start)
+        occupancy = ctmc_walk_sim(graph, t_end, n_walkers, cfg["seed"], start)
     else:
         walk_cfg = WalkConfig(
             alpha=alpha,
             t_end=t_end,
             delta_tau=float(section["delta_tau"]),
             n_walkers=n_walkers,
-            seed=cfg.seed,
+            seed=cfg["seed"],
         )
         occupancy = random_walk_sim(graph, walk_cfg, start)
     dio.save_matrix(occupancy.reshape(-1, 1), _out_path(cfg, "distribution.csv"))
@@ -492,9 +438,9 @@ def cmd_walk(cfg: RunConfig, args: argparse.Namespace) -> None:
     dio.save_report(report, _out_path(cfg, "walk.json"))
 
 
-def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> None:
-    section = cfg.stability
-    graph = _resolve_graph(cfg, section)
+def cmd_stability(cfg: dict, args: argparse.Namespace) -> None:
+    section = cfg["stability"]
+    graph = _resolve_graph(cfg, "stability")
     basis = eigendecompose(normalized_laplacian(graph))
     idx = int(section["direction_index"])
     if not 0 <= idx < graph.n_nodes:
@@ -554,11 +500,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(cfg: RunConfig, command: str, started: float, capped: bool) -> None:
+def _write_manifest(cfg: dict, command: str, started: float, capped: bool) -> None:
     manifest = {
         "command": command,
-        "config_hash": cfg.semantic_hash(),
-        "seed": cfg.seed,
+        "config_hash": _config_hash(cfg),
+        "seed": cfg["seed"],
         "threads_capped": capped,
         "versions": {
             "package": _VERSION,
@@ -584,9 +530,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     started = time.perf_counter()
     try:
-        cfg = RunConfig.from_sources(args)
-        capped = _apply_thread_cap(cfg.threads)
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        cfg = _load_config(args)
+        capped = _apply_thread_cap(cfg["threads"])
+        os.makedirs(cfg["output_dir"], exist_ok=True)
         _COMMANDS[args.command](cfg, args)
         _write_manifest(cfg, args.command, started, capped)
     except (ValueError, TypeError, KeyError, OSError) as exc:

@@ -18,7 +18,7 @@ import csv
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -266,9 +266,22 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
     return _parse_lines(path, body, parse, explain)[0]
 
 
+def _plain(obj):
+    """JSON-ready copy: dataclass -> dict of its fields, array/tuple/list -> list."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
 def save_report(report, path: str) -> None:
-    """Serialize a dict-like report (or object with to_dict) as pretty JSON."""
-    payload = report.to_dict() if hasattr(report, "to_dict") else report
+    """Serialize a report (dict, dataclass or object with to_dict) as pretty JSON."""
+    payload = _plain(report.to_dict() if hasattr(report, "to_dict") else report)
     _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _plain
 from .encoder import EncoderBank
 from .graphs import Graph, SpectralBasis, eigendecompose, normalized_laplacian, perturb_graph
 from .solver import skip_multiplier, solve_linear_spectral
@@ -233,24 +234,7 @@ class SpectralReport:
     verdicts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "skip_count": self.skip_count,
-            "tau": self.tau,
-            "alpha_local": self.alpha_local,
-            "alpha_global": self.alpha_global,
-            "n_s_local": self.n_s_local,
-            "n_s_global": self.n_s_global,
-            "exact_local": self.exact_local.tolist(),
-            "exact_global": self.exact_global.tolist(),
-            "asym_local": self.asym_local.tolist(),
-            "asym_global": self.asym_global.tolist(),
-            "mags_local": self.mags_local.tolist(),
-            "mags_global": self.mags_global.tolist(),
-            "b_local": [list(row) for row in self.b_local],
-            "b_global": [list(row) for row in self.b_global],
-            "verdicts": dict(self.verdicts),
-        }
+        return _plain(self)
 
 
 def _truncation_order(alpha: float) -> int:
@@ -564,15 +548,7 @@ class StabilityReport:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "discrepancy": self.discrepancy.tolist(),
-            "epsilon": self.epsilon,
-            "alpha_ref": self.alpha_ref,
-            "c_fit": self.c_fit,
-            "bound": self.bound.tolist(),
-            "holds": self.holds,
-        }
+        return _plain(self)
 
 
 def stability_harness(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _plain
 from .encoder import (
     EncoderBank,
     EncoderParams,
@@ -39,6 +40,10 @@ __all__ = [
     "avla",
     "tune_beta",
 ]
+
+# merge/retrain rounds before avla gives up on the view set stabilizing
+_MAX_ROUNDS = 20
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -79,16 +84,7 @@ class TrainReport:
     final_alphas: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "losses": list(self.losses),
-            "alpha_traces": [
-                [list(snapshot) for snapshot in round_trace]
-                for round_trace in self.alpha_traces
-            ],
-            "merge_events": [dict(e) for e in self.merge_events],
-            "final_alphas": list(self.final_alphas),
-        }
+        return _plain(self)
 
 
 @dataclass(frozen=True)
@@ -272,25 +268,22 @@ def avla(
     d_hid: int | None = None,
     alpha_init=None,
     activation: str = "relu",
-    max_rounds: int = 20,
 ):
     """Adaptive view training: train, merge close orders, retrain.
 
     Returns (k_final, final alphas ascending, trained bank, TrainReport).
     Initial orders default to a log-uniform draw over [0.01, 1]; weight
-    draws, merge survivor choices, and any data use consume independent
-    seeded streams so one cannot perturb another.
+    draws and merge survivor choices consume independent seeded streams so
+    one cannot perturb the other.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] != basis.n:
         raise ValueError("features must be n_nodes x d_in")
     d_in = x.shape[1]
     width = d_in if d_hid is None else d_hid
-    streams = np.random.SeedSequence(cfg.seed).spawn(3)
-    init_rng = np.random.default_rng(streams[0])
-    merge_rng = np.random.default_rng(streams[1])
-    # streams[2] reserved for data-side use so future additions cannot
-    # shift the init or merge draws
+    init_stream, merge_stream = np.random.SeedSequence(cfg.seed).spawn(2)
+    init_rng = np.random.default_rng(init_stream)
+    merge_rng = np.random.default_rng(merge_stream)
     if alpha_init is None:
         alphas = sorted(
             float(a) for a in np.exp(init_rng.uniform(np.log(0.01), 0.0, cfg.k_init))
@@ -306,7 +299,7 @@ def avla(
     losses: list[float] = []
     traces = []
     events = []
-    for round_idx in range(max_rounds):
+    for round_idx in range(_MAX_ROUNDS):
         w_list = [
             init_encoder_params(d_in, width, a, horizon, init_rng).weights
             for a in alphas
@@ -358,7 +351,7 @@ def avla(
             final_alphas=tuple(final),
         )
         return len(final), final, bank, report
-    raise RuntimeError(f"view set did not stabilize within {max_rounds} rounds")
+    raise RuntimeError(f"view set did not stabilize within {_MAX_ROUNDS} rounds")
 
 
 def _near_uniform_counts(k: int, total: int = 100) -> list[int]:

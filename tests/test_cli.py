@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracgcl
-from fracgcl.cli import main
+from fracgcl.cli import _DEFAULTS, main
 from fracgcl.data import (
     Dataset,
     SynthSpec,
@@ -133,6 +134,55 @@ class TestConfigHandling:
 
     def test_bad_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+class TestConfigLayers:
+    def test_flags_beat_set_beats_file_beats_defaults(self, tmp_path):
+        from_file = tmp_path / "from_file"
+        cfg = _write_config(
+            tmp_path,
+            "c.json",
+            {
+                "seed": 3,
+                "synth": {"n": 30, "n_blocks": 2},
+                "output_dir": str(from_file),
+            },
+        )
+        assert main(["synth", "--config", cfg]) == 0
+        assert json.loads((from_file / "manifest.json").read_text())["seed"] == 3
+        assert load_matrix(str(from_file / "features.csv")).shape[0] == 30
+        out = tmp_path / "from_flag"
+        argv = ["synth", "--config", cfg, "--set", "synth.n=40", "--set", "seed=4"]
+        assert main([*argv, "--seed", "9", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 9
+        assert load_matrix(str(out / "features.csv")).shape[0] == 40
+
+    def test_layers_leave_the_defaults_alone(self, tmp_path):
+        before = copy.deepcopy(_DEFAULTS)
+        sets = ["--set", "synth.n=40", "--set", "synth.n_blocks=2"]
+        assert main(["synth", *sets, "--out", str(tmp_path / "a")]) == 0
+        assert main(["synth", "--out", str(tmp_path / "b")]) == 0
+        assert load_matrix(str(tmp_path / "a" / "features.csv")).shape[0] == 40
+        assert load_matrix(str(tmp_path / "b" / "features.csv")).shape[0] == 60
+        assert _DEFAULTS == before
+
+    @pytest.mark.parametrize(
+        "set_flag, file_body, message",
+        [
+            ("seed=x", None, "seed must be an integer"),
+            (None, {"train": 5}, "config key 'train' must be an object"),
+            ("a.b.c=1", None, "nests too deep"),
+        ],
+        ids=["seed-not-int", "section-not-object", "path-too-deep"],
+    )
+    def test_bad_layer_exits_1(self, tmp_path, capsys, set_flag, file_body, message):
+        argv = ["synth", "--out", str(tmp_path / "o")]
+        if set_flag is not None:
+            argv += ["--set", set_flag]
+        if file_body is not None:
+            argv += ["--config", _write_config(tmp_path, "c.json", file_body)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSynth:
@@ -420,6 +470,26 @@ class TestWalkAndStability:
         assert isinstance(rep["holds"], bool)
         assert rep["c_fit"] > 0
 
+    @pytest.mark.parametrize(
+        "command, sets, key",
+        [
+            (["walk"], ["walk.topology=cycle"], "walk.n"),
+            (
+                ["stability"],
+                ["stability.topology=grid", "stability.rows=3"],
+                "stability.cols",
+            ),
+            (["diagnose", "--which", "theorem"], ["diagnose.topology=path"], "diagnose.n"),
+        ],
+        ids=["walk", "stability", "diagnose"],
+    )
+    def test_inline_topology_names_missing_size_key(
+        self, tmp_path, capsys, command, sets, key
+    ):
+        flags = [arg for item in sets for arg in ("--set", item)]
+        assert main([*command, *flags, "--out", str(tmp_path / "o")]) == 1
+        assert f"{key} is required for topology" in capsys.readouterr().err
+
 
 class TestManifestHash:
     def _hash(self, tmp_path, name, extra_args=()):
@@ -457,6 +527,11 @@ class TestManifestHash:
         h1 = self._hash(tmp_path, "r1", ("--seed", "5", "--threads", "1"))
         h2 = self._hash(tmp_path, "r2", ("--seed", "5", "--threads", "2"))
         assert h1 == h2
+
+    def test_hash_pinned(self, tmp_path):
+        # sha256 of the merged config minus output_dir and threads, sorted keys
+        h = self._hash(tmp_path, "r", ("--seed", "5", "--set", "synth.p_in=0.4"))
+        assert h == "721107af2bd874e72086685606a1565a827265d2c96d6c8b089d85fd9ff5f80f"
 
 
 _IMPORT_CHECK = """
