@@ -18,6 +18,10 @@ The training and probe defaults are the field defaults of ``TrainConfig``
 and ``ProbeConfig``.  Every run writes ``manifest.json`` with the sha256 of
 the merged configuration minus ``output_dir`` and ``threads``, the seed,
 library versions, wall time, and whether a ``--threads`` cap took effect.
+``train``, ``avla-trace`` and ``embed`` diffuse through the Chebyshev filter
+of the normalized Laplacian, with no eigendecomposition, and add the
+filter's ``chebyshev_degree``.  Sizes, counts and indices must be integral
+(``6.0`` is 6; ``6.9`` and ``true`` are rejected, naming the key).
 All files are written atomically and only inside the output directory.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
@@ -51,7 +55,13 @@ from .diagnostics import (
     rc_ratio,
     stability_harness,
 )
-from .encoder import EncoderBank, EncoderParams, combine_views, encoder_forward
+from .encoder import (
+    EncoderBank,
+    EncoderParams,
+    _chebyshev_degree,
+    bank_forward,
+    combine_views,
+)
 from .graphs import eigendecompose, normalized_laplacian
 from .solver import solve_linear_spectral
 from .training import TrainConfig, avla
@@ -133,6 +143,33 @@ _DEFAULTS = {
 
 _NON_SEMANTIC = ("output_dir", "threads")
 
+# counts, sizes and indices: integral, or None where the default is None
+_INTEGER_KEYS = (
+    "seed",
+    "threads",
+    "synth.n",
+    "synth.n_blocks",
+    "synth.feature_dim",
+    "train.k_init",
+    "train.epochs_n",
+    "train.d_hid",
+    "probe.epochs",
+    "diagnose.skip_count",
+    "diagnose.signal_column",
+    "diagnose.n",
+    "diagnose.rows",
+    "diagnose.cols",
+    "walk.n_walkers",
+    "walk.start",
+    "walk.n",
+    "walk.rows",
+    "walk.cols",
+    "stability.direction_index",
+    "stability.n",
+    "stability.rows",
+    "stability.cols",
+)
+
 _TOPOLOGIES = {
     "cycle": (dio.synth_cycle, ("n",)),
     "path": (dio.synth_path, ("n",)),
@@ -193,10 +230,30 @@ def _load_config(args: argparse.Namespace) -> dict:
         apply(_parse_set_flag(item))
     flags = {"seed": args.seed, "output_dir": args.out, "threads": args.threads}
     apply({key: value for key, value in flags.items() if value is not None})
-    if not isinstance(cfg["seed"], int):
-        raise ValueError(f"seed must be an integer, got {cfg['seed']!r}")
+    for path in _INTEGER_KEYS:
+        holder, key = _at(cfg, path)
+        if holder[key] is not None or _at(_DEFAULTS, path)[0][key] is not None:
+            holder[key] = _as_int(holder[key], path)
     cfg["output_dir"] = str(cfg["output_dir"])
     return cfg
+
+
+def _at(tree: dict, path: str) -> tuple[dict, str]:
+    """The dict that holds the dotted config key path, and the key in it."""
+    *section, key = path.split(".")
+    return (tree[section[0]] if section else tree), key
+
+
+def _as_int(value, name: str) -> int:
+    """An integral config value as an int; ValueError naming the key otherwise.
+
+    Booleans are rejected although Python counts them as ints.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _config_hash(cfg: dict) -> str:
@@ -248,7 +305,7 @@ def _resolve_graph(cfg: dict, name: str):
     for key in keys:
         if section[key] is None:
             raise ValueError(f"{name}.{key} is required for topology {topology!r}")
-    return make(*(int(section[key]) for key in keys))
+    return make(*(section[key] for key in keys))
 
 
 def _nan_to_none(value: float):
@@ -268,26 +325,29 @@ def cmd_synth(cfg: dict, args: argparse.Namespace) -> None:
 
 
 def _train(cfg: dict):
-    """Train on the configured dataset; returns (bank, report)."""
+    """Train on the configured dataset; returns (bank, report, manifest entries).
+
+    Training diffuses through the Chebyshev filter of the Laplacian, so no
+    eigendecomposition is made; the manifest records the filter's degree.
+    """
     ds = _load_dataset(cfg)
-    basis = eigendecompose(normalized_laplacian(ds.graph))
     section = dict(cfg["train"])
     horizon = float(section.pop("horizon"))
     d_hid = section.pop("d_hid")
     activation = section.pop("activation")
     _, _, bank, report = avla(
-        basis,
+        normalized_laplacian(ds.graph),
         ds.features,
         TrainConfig(seed=cfg["seed"], **section),
         horizon,
-        d_hid=None if d_hid is None else int(d_hid),
+        d_hid=d_hid,
         activation=activation,
     )
-    return bank, report
+    return bank, report, {"chebyshev_degree": _chebyshev_degree(horizon)}
 
 
-def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
-    bank, report = _train(cfg)
+def cmd_train(cfg: dict, args: argparse.Namespace) -> dict:
+    bank, report, entries = _train(cfg)
     dio.save_report(report, _out_path(cfg, "report.json"))
     meta = {
         "alphas": bank.alphas,
@@ -298,12 +358,14 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
     dio.save_report(meta, _out_path(cfg, "bank.json"))
     for k, enc in enumerate(bank.encoders):
         dio.save_matrix(enc.weights, _out_path(cfg, f"w{k}.fdmv"))
+    return entries
 
 
-def cmd_avla_trace(cfg: dict, args: argparse.Namespace) -> None:
-    _, report = _train(cfg)
+def cmd_avla_trace(cfg: dict, args: argparse.Namespace) -> dict:
+    _, report, entries = _train(cfg)
     payload = {**report.to_dict(), "k_final": len(report.final_alphas)}
     dio.save_report(payload, _out_path(cfg, "trace.json"))
+    return entries
 
 
 def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
@@ -319,15 +381,12 @@ def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
     return EncoderBank(encoders=tuple(encoders)), meta["activation"]
 
 
-def cmd_embed(cfg: dict, args: argparse.Namespace) -> None:
+def cmd_embed(cfg: dict, args: argparse.Namespace) -> dict:
     bank_dir = cfg["embed"]["bank_dir"] or cfg["output_dir"]
     bank, activation = _load_bank(bank_dir)
     ds = _load_dataset(cfg)
-    basis = eigendecompose(normalized_laplacian(ds.graph))
-    views = [
-        encoder_forward(basis, ds.features, enc, activation=activation)
-        for enc in bank.encoders
-    ]
+    lap = normalized_laplacian(ds.graph)
+    views = bank_forward(lap, ds.features, bank, activation=activation)
     beta = cfg["embed"]["beta"]
     if beta is None:
         beta = np.full(len(views), 1.0 / len(views))
@@ -337,6 +396,8 @@ def cmd_embed(cfg: dict, args: argparse.Namespace) -> None:
         dio.save_matrix(view.matrix, _out_path(cfg, f"view{k}.fdmv"))
     dio.save_matrix(combined, _out_path(cfg, "combined.fdmv"))
     dio.save_report({"beta": beta, "views": len(views)}, _out_path(cfg, "embed.json"))
+    horizon = max(enc.horizon for enc in bank.encoders)
+    return {"chebyshev_degree": _chebyshev_degree(horizon)}
 
 
 def _embedding_or_features(section: dict, ds: dio.Dataset):
@@ -368,7 +429,7 @@ def cmd_diagnose(cfg: dict, args: argparse.Namespace) -> None:
         if section["topology"] is None:
             ds = _load_dataset(cfg)
             graph = ds.graph
-            signal = ds.features[:, int(section["signal_column"])]
+            signal = ds.features[:, section["signal_column"]]
         else:
             graph = _resolve_graph(cfg, "diagnose")
             signal = np.ones(graph.n_nodes)
@@ -378,7 +439,7 @@ def cmd_diagnose(cfg: dict, args: argparse.Namespace) -> None:
             alpha_local=float(section["alpha_local"]),
             alpha_global=float(section["alpha_global"]),
             tau=float(section["tau"]),
-            skip_count=int(section["skip_count"]),
+            skip_count=section["skip_count"],
         )
         report = spectral.to_dict()
         for name, verdict in sorted(report["verdicts"].items()):
@@ -409,8 +470,8 @@ def cmd_walk(cfg: dict, args: argparse.Namespace) -> None:
     graph = _resolve_graph(cfg, "walk")
     alpha = float(section["alpha"])
     t_end = float(section["t_end"])
-    start = int(section["start"])
-    n_walkers = int(section["n_walkers"])
+    start = section["start"]
+    n_walkers = section["n_walkers"]
     if alpha == 1.0:
         occupancy = ctmc_walk_sim(graph, t_end, n_walkers, cfg["seed"], start)
     else:
@@ -442,7 +503,7 @@ def cmd_stability(cfg: dict, args: argparse.Namespace) -> None:
     section = cfg["stability"]
     graph = _resolve_graph(cfg, "stability")
     basis = eigendecompose(normalized_laplacian(graph))
-    idx = int(section["direction_index"])
+    idx = section["direction_index"]
     if not 0 <= idx < graph.n_nodes:
         raise ValueError(f"direction_index {idx} out of range")
     perturbation = InitStatePerturbation(
@@ -500,7 +561,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(cfg: dict, command: str, started: float, capped: bool) -> None:
+def _write_manifest(
+    cfg: dict, command: str, started: float, capped: bool, entries: dict
+) -> None:
     manifest = {
         "command": command,
         "config_hash": _config_hash(cfg),
@@ -512,6 +575,7 @@ def _write_manifest(cfg: dict, command: str, started: float, capped: bool) -> No
             "numpy": np.__version__,
         },
         "wall_time_s": round(time.perf_counter() - started, 6),
+        **entries,
     }
     try:
         import scipy
@@ -533,8 +597,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         capped = _apply_thread_cap(cfg["threads"])
         os.makedirs(cfg["output_dir"], exist_ok=True)
-        _COMMANDS[args.command](cfg, args)
-        _write_manifest(cfg, args.command, started, capped)
+        entries = _COMMANDS[args.command](cfg, args) or {}
+        _write_manifest(cfg, args.command, started, capped, entries)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,11 +18,10 @@ from .encoder import (
     EncoderBank,
     EncoderParams,
     _activation,
-    _diffuse,
+    _feature_filter,
     combine_views,
     init_encoder_params,
 )
-from .graphs import SpectralBasis
 from .losses import (
     DegenerateEmbeddingError,
     NoSpectralGapError,
@@ -135,18 +134,6 @@ def _penalty_grad(centered, gram, mu1, v, v_other, sign):
     return gbar - gbar.mean(axis=0, keepdims=True)
 
 
-def _forward_pieces(basis, features, w_list, alpha_list, horizons, activation):
-    """Forward pass keeping the intermediates the backward pass reuses."""
-    act, act_grad = _activation(activation)
-    spectra, damps, sens, pre = zip(
-        *(
-            _diffuse(basis, features @ w, a, h)
-            for w, a, h in zip(w_list, alpha_list, horizons)
-        )
-    )
-    return spectra, damps, sens, [act(p) for p in pre], [act_grad(p) for p in pre]
-
-
 def _direction_states(outs, alpha_list):
     """Principal-axis state of every view; a failure names the view."""
     states = []
@@ -158,13 +145,17 @@ def _direction_states(outs, alpha_list):
     return states
 
 
-def _loss_and_grads(basis, features, w_list, alpha_list, horizons, eta, activation):
-    """Loss and analytic gradients; FloatingPointError if either is non-finite."""
-    u = basis.eigenvectors
+def _loss_and_grads(filt, w_list, alpha_list, horizons, eta, activation):
+    """Loss and analytic gradients; FloatingPointError if either is non-finite.
+
+    Each view is act(P W) with P = f(L) X from the features-side filter, so
+    with G = dL/dY * act'(P W) the gradients are P^T G and <G, (dP/dalpha) W>.
+    """
+    act, act_grad = _activation(activation)
     k = len(w_list)
-    spectra, damps, sens, outs, masks = _forward_pieces(
-        basis, features, w_list, alpha_list, horizons, activation
-    )
+    diffused = [filt.diffuse(a, h) for a, h in zip(alpha_list, horizons)]
+    pre = [p @ w for (p, _), w in zip(diffused, w_list)]
+    outs = [act(z) for z in pre]
     states = None
     if eta != 0.0:
         states = _direction_states(outs, alpha_list)
@@ -188,17 +179,17 @@ def _loss_and_grads(basis, features, w_list, alpha_list, horizons, eta, activati
         raise FloatingPointError(f"non-finite loss {loss}")
     grads_w = []
     grads_a = []
-    for i in range(k):
-        d_pre_spec = u.T @ (d_out[i] * masks[i])
-        grads_w.append(features.T @ (u @ (damps[i][:, None] * d_pre_spec)))
-        grads_a.append(float(np.sum(d_pre_spec * (sens[i][:, None] * spectra[i]))))
+    for (p, dp), w, z, g_out in zip(diffused, w_list, pre, d_out):
+        g = g_out * act_grad(z)
+        grads_w.append(p.T @ g)
+        grads_a.append(float(np.sum((dp.T @ g) * w)))
     if not all(np.all(np.isfinite(g)) for g in (grads_a, *grads_w)):
         raise FloatingPointError("non-finite gradient")
     return loss, BankGradients(w=tuple(grads_w), alpha=tuple(grads_a))
 
 
 def grad_loss(
-    basis: SpectralBasis,
+    operator,
     features: np.ndarray,
     bank: EncoderBank,
     eta: float,
@@ -206,16 +197,17 @@ def grad_loss(
 ) -> BankGradients:
     """Gradients of the total contrastive loss over all bank parameters.
 
-    Chains the loss through the activation, the per-frequency relaxation
-    multipliers (order sensitivity from ml_spectrum), and the projection.
+    Chains the loss through the activation, the projection, and the
+    features-side filter of `operator` (a `SpectralBasis` or the dense
+    normalized Laplacian), whose order sensitivity comes from ml_spectrum.
     Raises FloatingPointError if the loss or any gradient is non-finite.
     """
+    horizons = [p.horizon for p in bank.encoders]
     _, grads = _loss_and_grads(
-        basis,
-        features,
+        _feature_filter(operator, features, max(horizons)),
         [p.weights for p in bank.encoders],
         [p.alpha for p in bank.encoders],
-        [p.horizon for p in bank.encoders],
+        horizons,
         eta,
         activation,
     )
@@ -261,7 +253,7 @@ def merge_alphas(alphas, delta: float, rng: np.random.Generator) -> list[float]:
 
 
 def avla(
-    basis: SpectralBasis,
+    operator,
     features: np.ndarray,
     cfg: TrainConfig,
     horizon: float,
@@ -272,13 +264,14 @@ def avla(
     """Adaptive view training: train, merge close orders, retrain.
 
     Returns (k_final, final alphas ascending, trained bank, TrainReport).
-    Initial orders default to a log-uniform draw over [0.01, 1]; weight
-    draws and merge survivor choices consume independent seeded streams so
-    one cannot perturb the other.
+    `operator` is a `SpectralBasis` or the dense normalized Laplacian; its
+    features-side filter is built once and serves every round.  Initial
+    orders default to a log-uniform draw over [0.01, 1]; weight draws and
+    merge survivor choices consume independent seeded streams so one cannot
+    perturb the other.
     """
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[0] != basis.n:
-        raise ValueError("features must be n_nodes x d_in")
+    filt = _feature_filter(operator, x, horizon)
     d_in = x.shape[1]
     width = d_in if d_hid is None else d_hid
     init_stream, merge_stream = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -310,7 +303,7 @@ def avla(
         for epoch in range(cfg.epochs_n):
             try:
                 loss, grads = _loss_and_grads(
-                    basis, x, w_list, a_list, horizons, cfg.eta, activation
+                    filt, w_list, a_list, horizons, cfg.eta, activation
                 )
             except FloatingPointError as exc:
                 raise FloatingPointError(

@@ -8,16 +8,21 @@ import sys
 import numpy as np
 import pytest
 
-import fracgcl
-from fracgcl.cli import _DEFAULTS, main
+import fracgcl.cli
+import fracgcl.graphs
+from fracgcl.cli import _COMMANDS, _DEFAULTS, main
 from fracgcl.data import (
     Dataset,
     SynthSpec,
+    load_dataset,
     load_matrix,
     save_dataset,
     synth_cycle,
     synth_sbm,
 )
+from fracgcl.encoder import _chebyshev_degree, bank_forward, combine_views
+from fracgcl.graphs import eigendecompose, normalized_laplacian
+from fracgcl.training import TrainConfig, avla
 
 
 @pytest.fixture()
@@ -130,7 +135,9 @@ class TestConfigHandling:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out.lower() or True
+        out = capsys.readouterr().out
+        for name in _COMMANDS:
+            assert name in out
 
     def test_bad_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -183,6 +190,13 @@ class TestConfigLayers:
             argv += ["--config", _write_config(tmp_path, "c.json", file_body)]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    def test_boolean_seed_exits_1(self, tmp_path, capsys):
+        # bool is a subclass of int, so an isinstance check alone lets it in
+        out = tmp_path / "o"
+        assert main(["synth", "--out", str(out), "--set", "seed=true"]) == 1
+        assert "seed must be an integer, got True" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestSynth:
@@ -489,6 +503,101 @@ class TestWalkAndStability:
         flags = [arg for item in sets for arg in ("--set", item)]
         assert main([*command, *flags, "--out", str(tmp_path / "o")]) == 1
         assert f"{key} is required for topology" in capsys.readouterr().err
+
+
+class TestIntegralKeys:
+    @pytest.mark.parametrize(
+        "command, sets, key",
+        [
+            (["walk"], ["walk.topology=cycle", "walk.n=6.9"], "walk.n"),
+            (
+                ["walk"],
+                ["walk.topology=cycle", "walk.n=6", "walk.start=1.5"],
+                "walk.start",
+            ),
+            (
+                ["walk"],
+                ["walk.topology=cycle", "walk.n=6", "walk.n_walkers=100.5"],
+                "walk.n_walkers",
+            ),
+            (
+                ["stability"],
+                ["stability.topology=grid", "stability.rows=3", "stability.cols=2.5"],
+                "stability.cols",
+            ),
+            (
+                ["diagnose", "--which", "theorem"],
+                ["diagnose.topology=path", "diagnose.n=true"],
+                "diagnose.n",
+            ),
+            (["synth"], ["synth.feature_dim=4.5"], "synth.feature_dim"),
+            # None stands only where the default is None
+            (["synth"], ["synth.n=null"], "synth.n"),
+        ],
+        ids=[
+            "walk.n",
+            "walk.start",
+            "walk.n_walkers",
+            "stability.cols",
+            "diagnose.n",
+            "synth.feature_dim",
+            "synth.n-null",
+        ],
+    )
+    def test_non_integral_value_exits_1_naming_the_key(
+        self, tmp_path, capsys, command, sets, key
+    ):
+        flags = [arg for item in sets for arg in ("--set", item)]
+        out = tmp_path / "o"
+        assert main([*command, *flags, "--out", str(out)]) == 1
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_integral_float_is_accepted(self, tmp_path):
+        sets = ["walk.topology=cycle", "walk.n=6.0", "walk.n_walkers=200.0"]
+        flags = [arg for item in sets for arg in ("--set", item)]
+        assert main(["walk", *flags, "--out", str(tmp_path / "o")]) == 0
+        assert load_matrix(str(tmp_path / "o" / "distribution.csv")).shape == (6, 1)
+
+
+class TestChebyshevPath:
+    def test_train_and_embed_never_eigendecompose(
+        self, tmp_path, dataset_dir, monkeypatch
+    ):
+        def refuse(laplacian):
+            raise AssertionError("eigendecompose called")
+
+        cfg = _train_config(tmp_path, dataset_dir, "run")
+        out = tmp_path / "run"
+        with monkeypatch.context() as patch:
+            patch.setattr(fracgcl.cli, "eigendecompose", refuse)
+            patch.setattr(fracgcl.graphs, "eigendecompose", refuse)
+            assert main(["train", "--config", cfg, "--seed", "2"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["chebyshev_degree"] == _chebyshev_degree(2.0)
+            assert main(["embed", "--config", cfg, "--seed", "2"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["chebyshev_degree"] == _chebyshev_degree(2.0)
+
+        # the same training and embedding through the eigenbasis
+        section = _dataset_section(dataset_dir)
+        ds = load_dataset(
+            section["edges"], section["features"], section["labels"], section["splits"]
+        )
+        basis = eigendecompose(normalized_laplacian(ds.graph))
+        train_cfg = TrainConfig(k_init=2, epochs_n=3, seed=2)
+        _, alphas, bank, _ = avla(basis, ds.features, train_cfg, 2.0, d_hid=4)
+
+        def rel(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        saved = json.loads((out / "bank.json").read_text())
+        assert rel(np.array(saved["alphas"]), np.array(alphas)) < 1e-9
+        for k, enc in enumerate(bank.encoders):
+            assert rel(load_matrix(str(out / f"w{k}.fdmv")), enc.weights) < 1e-9
+        views = bank_forward(basis, ds.features, bank)
+        combined = combine_views(views, np.full(len(views), 1.0 / len(views)))
+        assert rel(load_matrix(str(out / "combined.fdmv")), combined) < 1e-9
 
 
 class TestManifestHash:

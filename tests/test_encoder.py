@@ -8,6 +8,8 @@ from fracgcl.encoder import (
     EncoderBank,
     EncoderParams,
     ViewEmbedding,
+    _chebyshev_degree,
+    _feature_filter,
     bank_forward,
     combine_views,
     encoder_forward,
@@ -16,6 +18,7 @@ from fracgcl.encoder import (
 )
 from fracgcl.graphs import eigendecompose, gft, normalized_laplacian
 from fracgcl.special import ml
+from fracgcl.training import TrainConfig
 
 
 def decomposed(g):
@@ -216,6 +219,57 @@ class TestBank:
         yh = encoder_forward(basis, x, hi, activation="identity").matrix
         rel = np.linalg.norm(yl - yh) / np.linalg.norm(yl)
         assert rel > 0.1
+
+
+class TestFeatureFilter:
+    """The Chebyshev filter of the Laplacian against the eigenbasis filter."""
+
+    @pytest.fixture(scope="class")
+    def graph_and_features(self):
+        g = sbm_connected_graph(60, 3, 0.3, 0.03, seed=71)
+        x = np.random.default_rng(73).normal(size=(60, 5))
+        return normalized_laplacian(g), x
+
+    @pytest.mark.parametrize("horizon", [2.0, 20.0, 100.0])
+    def test_chebyshev_matches_eigenbasis(self, graph_and_features, horizon):
+        lap, x = graph_and_features
+        spectral = _feature_filter(eigendecompose(lap), x, horizon)
+        chebyshev = _feature_filter(lap, x, horizon)
+        for alpha in (TrainConfig.clip_eps, 0.01, 0.1, 0.3, 0.5, 0.8, 1.0):
+            wants = spectral.diffuse(alpha, horizon)
+            gots = chebyshev.diffuse(alpha, horizon)
+            for name, want, got in zip(("P", "dP/dalpha"), wants, gots):
+                rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert rel < 1e-9, (name, alpha, rel)
+
+    def test_degree_grows_with_the_horizon_from_a_floor(self):
+        degrees = [_chebyshev_degree(t) for t in (0.01, 2.0, 10.0, 20.0, 100.0)]
+        assert degrees[:3] == [28, 28, 28]
+        assert degrees[2] < degrees[3] < degrees[4]
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, 1e5])
+    def test_unresolvable_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            _chebyshev_degree(horizon)
+
+    def test_bank_forward_through_the_laplacian(self):
+        g = random_connected_graph(12, 0.4, seed=79)
+        lap = normalized_laplacian(g)
+        rng = np.random.default_rng(83)
+        x = rng.normal(size=(12, 4))
+        bank = init_bank(4, 4, [0.05, 0.5, 1.0], horizon=20.0, rng=rng)
+        want = bank_forward(eigendecompose(lap), x, bank)
+        got = bank_forward(lap, x, bank)
+        for v_want, v_got in zip(want, got):
+            assert v_got.source_alpha == v_want.source_alpha
+            assert np.max(np.abs(v_got.matrix - v_want.matrix)) < 1e-12
+
+    def test_operator_shape_checked(self):
+        p = EncoderParams(weights=np.eye(3), alpha=0.5, horizon=1.0)
+        with pytest.raises(ValueError, match="square"):
+            encoder_forward(np.zeros((4, 5)), np.zeros((4, 3)), p)
+        with pytest.raises(ValueError, match="n_nodes"):
+            encoder_forward(np.eye(5), np.zeros((4, 3)), p)
 
 
 class TestCombine:

@@ -173,10 +173,13 @@ class TestGradLoss:
         n=6, alphas=[1e-4, 1.0], d_in=2, width=2, horizon=2.0, eta=0.5,
         activation="relu", seed=4,
     )
+    # the eigenbasis filter, and the Chebyshev filter of the Laplacian
+    @pytest.mark.parametrize("operator", ["basis", "laplacian"])
     def test_analytic_matches_finite_difference_on_random_banks(
-        self, n, alphas, d_in, width, horizon, eta, activation, seed
+        self, operator, n, alphas, d_in, width, horizon, eta, activation, seed
     ):
-        basis = eigendecompose(normalized_laplacian(random_connected_graph(n, 0.5, seed)))
+        lap = normalized_laplacian(random_connected_graph(n, 0.5, seed))
+        op = eigendecompose(lap) if operator == "basis" else lap
         rng = np.random.default_rng([seed, 1])
         x = rng.normal(size=(n, d_in))
         bank = EncoderBank(
@@ -185,7 +188,7 @@ class TestGradLoss:
                 for a in sorted(alphas)
             )
         )
-        views = [encoder_forward(basis, x, e, "identity").matrix for e in bank.encoders]
+        views = [encoder_forward(op, x, e, "identity").matrix for e in bank.encoders]
         if activation == "relu":
             # finite differences straddling a kink see a one-sided slope
             assume(all(np.min(np.abs(v)) > 1e-4 for v in views))
@@ -196,8 +199,8 @@ class TestGradLoss:
                     dominant_direction(v)
                 except (DegenerateEmbeddingError, NoSpectralGapError):
                     reject()
-        ga = grad_loss(basis, x, bank, eta, activation)
-        gf = fd_grad(basis, x, bank, eta, activation)
+        ga = grad_loss(op, x, bank, eta, activation)
+        gf = fd_grad(op, x, bank, eta, activation)
         assert _max_tensor_gap(ga, gf) < 1e-7
 
 
