@@ -58,12 +58,11 @@ from .diagnostics import (
 from .encoder import (
     EncoderBank,
     EncoderParams,
-    _chebyshev_degree,
     bank_forward,
     combine_views,
 )
 from .graphs import eigendecompose, normalized_laplacian
-from .solver import solve_linear_spectral
+from .solver import _chebyshev_degree, solve_linear_spectral
 from .training import TrainConfig, avla
 
 _VERSION = "0.1.0"
@@ -372,6 +371,11 @@ def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
     meta_path = os.path.join(bank_dir, "bank.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    for key in ("alphas", "weight_files", "horizon", "activation"):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: missing key {key!r}")
+    if len(meta["alphas"]) != len(meta["weight_files"]):
+        raise ValueError(f"{meta_path}: alphas and weight_files differ in length")
     encoders = []
     for alpha, fname in zip(meta["alphas"], meta["weight_files"]):
         w = dio.load_matrix(os.path.join(bank_dir, fname))

@@ -16,8 +16,8 @@ import numpy as np
 from .data import _plain
 from .encoder import EncoderBank
 from .graphs import Graph, SpectralBasis, eigendecompose, normalized_laplacian, perturb_graph
-from .solver import skip_multiplier, solve_linear_spectral
-from .special import _tail_coeffs, gamma
+from .solver import _diffusion_filter, skip_multiplier
+from .special import _tail_coeffs, gamma, ml_spectrum
 
 __all__ = [
     "ProbeConfig",
@@ -592,20 +592,18 @@ def stability_harness(
             raise ValueError("alpha must lie in (0, 1]")
         alphas = [alpha_ref]
 
-    twin = None  # the rewired graph's basis, in topology mode
+    # the solve is linear, so an offset to the state or the projection diffuses alone
     if isinstance(perturbation, InitStatePerturbation):
         if perturbation.eps <= 0:
             raise ValueError("eps must be positive")
         direction = np.asarray(perturbation.direction, dtype=float)
         if direction.ndim == 1:
             direction = direction[:, None]
-        if direction.shape[0] != basis.n:
-            raise ValueError("direction must have one row per node")
         norm = np.linalg.norm(direction)
         if norm == 0:
             raise ValueError("direction must be nonzero")
         eps = perturbation.eps
-        delta = eps * direction / norm
+        pairs = [(basis, eps * direction / norm)]
     elif isinstance(perturbation, WeightPerturbation):
         if bank is None:
             raise ValueError("weight perturbation needs an encoder bank")
@@ -613,27 +611,27 @@ def stability_harness(
         eps = float(np.linalg.norm(delta))
         if eps == 0:
             raise ValueError("weight perturbation is zero")
+        pairs = [(basis, delta)]
     elif isinstance(perturbation, TopologyPerturbation):
         twisted = perturb_graph(
             perturbation.graph, perturbation.ratio, perturbation.mode,
             perturbation.seed,
         )
         lap2 = normalized_laplacian(twisted)
-        twin = eigendecompose(lap2)
         lap1 = normalized_laplacian(perturbation.graph)
         eps = float(np.linalg.norm(lap1 - lap2, ord=2))
         if eps == 0:
             raise ValueError("topology perturbation changed nothing")
+        pairs = [(basis, state), (eigendecompose(lap2), state)]
     else:
         raise TypeError(f"unknown perturbation {type(perturbation).__name__}")
 
+    filters = [_diffusion_filter(op, y, times[-1]) for op, y in pairs]
+
     def gap(a, t):
         """Perturbed minus unperturbed view of order a at time t."""
-        if twin is None:  # the solve is linear, so the offset diffuses alone
-            return solve_linear_spectral(basis, delta, a, t)
-        return solve_linear_spectral(basis, state, a, t) - solve_linear_spectral(
-            twin, state, a, t
-        )
+        views = [f.apply(ml_spectrum(a, f.nodes, t)[0]) for f in filters]
+        return views[0] if len(views) == 1 else views[0] - views[1]
 
     disc = np.array(
         [np.sqrt(sum(np.linalg.norm(gap(a, t)) ** 2 for a in alphas)) for t in times]

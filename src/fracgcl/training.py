@@ -18,7 +18,6 @@ from .encoder import (
     EncoderBank,
     EncoderParams,
     _activation,
-    _feature_filter,
     combine_views,
     init_encoder_params,
 )
@@ -28,6 +27,8 @@ from .losses import (
     _principal_axis,
     cosmean,
 )
+from .solver import _diffusion_filter
+from .special import ml_spectrum
 
 __all__ = [
     "TrainConfig",
@@ -153,7 +154,10 @@ def _loss_and_grads(filt, w_list, alpha_list, horizons, eta, activation):
     """
     act, act_grad = _activation(activation)
     k = len(w_list)
-    diffused = [filt.diffuse(a, h) for a, h in zip(alpha_list, horizons)]
+    diffused = [
+        filt.apply(np.stack(ml_spectrum(a, filt.nodes, h), axis=1))
+        for a, h in zip(alpha_list, horizons)
+    ]
     pre = [p @ w for (p, _), w in zip(diffused, w_list)]
     outs = [act(z) for z in pre]
     states = None
@@ -204,7 +208,7 @@ def grad_loss(
     """
     horizons = [p.horizon for p in bank.encoders]
     _, grads = _loss_and_grads(
-        _feature_filter(operator, features, max(horizons)),
+        _diffusion_filter(operator, features, max(horizons)),
         [p.weights for p in bank.encoders],
         [p.alpha for p in bank.encoders],
         horizons,
@@ -271,7 +275,7 @@ def avla(
     perturb the other.
     """
     x = np.asarray(features, dtype=float)
-    filt = _feature_filter(operator, x, horizon)
+    filt = _diffusion_filter(operator, x, horizon)
     d_in = x.shape[1]
     width = d_in if d_hid is None else d_hid
     init_stream, merge_stream = np.random.SeedSequence(cfg.seed).spawn(2)

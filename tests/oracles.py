@@ -7,7 +7,7 @@ cross-checks against Talbot inversion of the Laplace transform; derivatives
 come from mpmath's numerical differentiation of the series, or from Talbot
 inversion of the transform's order derivative where the series converges
 too slowly.  The graph oracles are plain Python loops over lists.  The
-gradient oracle differences the public forward pass and loss in float64.
+gradient oracle differences the value-only forward pass and loss in float64.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from collections import deque
 import mpmath as mp
 import numpy as np
 
-from fracgcl.encoder import EncoderParams, encoder_forward
+from fracgcl.encoder import _activation
 from fracgcl.losses import total_loss
+from fracgcl.solver import _diffusion_filter
+from fracgcl.special import ml_spectrum
 from fracgcl.training import BankGradients
 
 
@@ -146,17 +148,20 @@ def adjacency_oracle(n: int, edge_list) -> list[list[float]]:
 def fd_grad(basis, features, bank, eta, activation, step=1e-5, coords=None):
     """Finite-difference gradient of total_loss over every bank parameter.
 
-    Each bump re-runs encoder_forward for the one encoder it touches.
+    Each bump re-runs the value-only forward act(P(alpha) W) for the one
+    encoder it touches, through one filter of `basis` built for all bumps.
     Orders use the central difference, or the second-order one-sided
     stencil (3 f(a) - 4 f(a - h) + f(a - 2h)) / 2h where a + h leaves (0, 1].
     coords restricts the probed weight entries to (encoder, row, col)
     triples; None probes all of them, and unprobed entries read 0.
     """
     encoders = bank.encoders
+    act = _activation(activation)[0]
+    filt = _diffusion_filter(basis, features, max(e.horizon for e in encoders))
 
     def view(idx, w, a):
-        params = EncoderParams(w, a, encoders[idx].horizon)
-        return encoder_forward(basis, features, params, activation).matrix
+        p = filt.apply(ml_spectrum(a, filt.nodes, encoders[idx].horizon)[0])
+        return act(p @ w)
 
     base = [view(idx, e.weights, e.alpha) for idx, e in enumerate(encoders)]
     loss = total_loss(base, eta)

@@ -20,8 +20,9 @@ from fracgcl.data import (
     synth_cycle,
     synth_sbm,
 )
-from fracgcl.encoder import _chebyshev_degree, bank_forward, combine_views
+from fracgcl.encoder import bank_forward, combine_views
 from fracgcl.graphs import eigendecompose, normalized_laplacian
+from fracgcl.solver import _chebyshev_degree
 from fracgcl.training import TrainConfig, avla
 
 
@@ -285,6 +286,35 @@ class TestTrainEmbedProbe:
         acc = json.loads((tmp_path / "probe_out" / "accuracy.json").read_text())
         assert set(acc) == {"train", "val", "test"}
         assert 0.0 <= acc["test"] <= 1.0
+
+    def _embed_with_bank(self, tmp_path, dataset_dir, meta):
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        (bank_dir / "bank.json").write_text(json.dumps(meta))
+        cfg = _train_config(tmp_path, dataset_dir, "emb")
+        rc = main(["embed", "--config", cfg, "--set", f"embed.bank_dir={bank_dir}"])
+        return rc, str(bank_dir / "bank.json")
+
+    def test_embed_names_missing_bank_key(self, tmp_path, dataset_dir, capsys):
+        meta = {"horizon": 2.0, "activation": "relu", "weight_files": ["w0.fdmv"]}
+        rc, path = self._embed_with_bank(tmp_path, dataset_dir, meta)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert path in err and "'alphas'" in err
+
+    def test_embed_rejects_more_alphas_than_weight_files(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        meta = {
+            "alphas": [0.1, 0.2, 0.3, 0.4, 0.5],
+            "horizon": 2.0,
+            "activation": "relu",
+            "weight_files": ["w0.fdmv", "w1.fdmv"],
+        }
+        rc, path = self._embed_with_bank(tmp_path, dataset_dir, meta)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert path in err and "weight_files" in err
 
     def test_probe_on_raw_features(self, tmp_path, dataset_dir):
         cfg = _write_config(

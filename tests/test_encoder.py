@@ -8,8 +8,6 @@ from fracgcl.encoder import (
     EncoderBank,
     EncoderParams,
     ViewEmbedding,
-    _chebyshev_degree,
-    _feature_filter,
     bank_forward,
     combine_views,
     encoder_forward,
@@ -17,7 +15,8 @@ from fracgcl.encoder import (
     init_encoder_params,
 )
 from fracgcl.graphs import eigendecompose, gft, normalized_laplacian
-from fracgcl.special import ml
+from fracgcl.solver import _chebyshev_degree, _diffusion_filter
+from fracgcl.special import ml, ml_spectrum
 from fracgcl.training import TrainConfig
 
 
@@ -233,14 +232,40 @@ class TestFeatureFilter:
     @pytest.mark.parametrize("horizon", [2.0, 20.0, 100.0])
     def test_chebyshev_matches_eigenbasis(self, graph_and_features, horizon):
         lap, x = graph_and_features
-        spectral = _feature_filter(eigendecompose(lap), x, horizon)
-        chebyshev = _feature_filter(lap, x, horizon)
+        spectral = _diffusion_filter(eigendecompose(lap), x, horizon)
+        chebyshev = _diffusion_filter(lap, x, horizon)
         for alpha in (TrainConfig.clip_eps, 0.01, 0.1, 0.3, 0.5, 0.8, 1.0):
-            wants = spectral.diffuse(alpha, horizon)
-            gots = chebyshev.diffuse(alpha, horizon)
+            wants, gots = (
+                f.apply(np.stack(ml_spectrum(alpha, f.nodes, horizon), axis=1))
+                for f in (spectral, chebyshev)
+            )
             for name, want, got in zip(("P", "dP/dalpha"), wants, gots):
                 rel = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert rel < 1e-9, (name, alpha, rel)
+
+    @pytest.mark.parametrize("operator", ["basis", "laplacian"])
+    def test_value_only_apply_matches_the_pair(self, graph_and_features, operator):
+        lap, x = graph_and_features
+        filt = _diffusion_filter(
+            eigendecompose(lap) if operator == "basis" else lap, x, 20.0
+        )
+        for alpha in (TrainConfig.clip_eps, 0.3, 1.0):
+            value, deriv = ml_spectrum(alpha, filt.nodes, 20.0)
+            got = filt.apply(value)
+            want = filt.apply(np.stack([value, deriv], axis=1))[0]
+            if operator == "basis":
+                assert np.array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-14
+
+    def test_spectrum_outside_0_2_rejected(self):
+        # the combinatorial Laplacian D - A reaches twice the largest degree
+        adj = random_connected_graph(12, 0.4, seed=89).adjacency
+        combinatorial = np.diag(adj.sum(axis=1)) - adj
+        x = np.random.default_rng(97).normal(size=(12, 4))
+        p = EncoderParams(weights=np.eye(4), alpha=0.5, horizon=20.0)
+        with pytest.raises(ValueError, match=r"spectrum in \[0, 2\]"):
+            encoder_forward(combinatorial, x, p)
 
     def test_degree_grows_with_the_horizon_from_a_floor(self):
         degrees = [_chebyshev_degree(t) for t in (0.01, 2.0, 10.0, 20.0, 100.0)]

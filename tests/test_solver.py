@@ -55,6 +55,24 @@ class TestSpectral:
             solve_linear_spectral(k2_basis(), np.ones(2), 1.5, 1.0)
 
 
+class TestDenseSpectralFunction:
+    @pytest.mark.parametrize("shape", [(12,), (12, 3)], ids=["1-D", "2-D"])
+    def test_solvers_match_dense_product(self, shape):
+        basis = eigendecompose(normalized_laplacian(random_connected_graph(12, 0.4, 5)))
+        y = np.random.default_rng(7).standard_normal(shape)
+        alpha, t, m = 0.6, 2.0, 3
+        damp = np.array([ml(alpha, float(l), t) for l in basis.eigenvalues])
+        skip = sum(damp**k for k in range(m + 1))
+        u = basis.eigenvectors
+        for got, f in (
+            (solve_linear_spectral(basis, y, alpha, t), damp),
+            (solve_with_skips(basis, y, alpha, t, m), skip),
+        ):
+            want = (u @ np.diag(f) @ u.T) @ y
+            assert got.shape == y.shape
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+
+
 class TestCaputoPC:
     def test_classical_ode_reduction(self):
         traj = solve_caputo_pc(lambda t, y: -y, np.array([1.0]), 1.0, 1.0, 1e-3)
