@@ -82,15 +82,20 @@ def linear_probe(y, labels, splits, cfg: ProbeConfig):
     reported accuracies are exactly invariant to rotation, translation, and
     scaling of the embedding, and the optimizer's conditioning does not
     leak into the measurement.  Returns (train, val, test) accuracies; an
-    empty split reports nan.
+    empty split reports nan.  A split node labeled -1 (unlabeled) is an error.
     """
     m = _as_matrix(y)
     labels = np.asarray(labels)
+    if len(m) != len(labels):
+        raise ValueError(f"embedding has {len(m)} rows for {len(labels)} nodes")
     idx = {}
     for name in ("train", "val", "test"):
         part = np.asarray(splits.get(name, []), dtype=int)
         if part.size and (part.min() < 0 or part.max() >= m.shape[0]):
             raise ValueError(f"{name} split indexes outside the embedding")
+        unlabeled = part[labels[part] < 0]
+        if unlabeled.size:
+            raise ValueError(f"{name} split node {unlabeled[0]} has no label")
         idx[name] = part
     for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
         if np.intersect1d(idx[a], idx[b]).size:

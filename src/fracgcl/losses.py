@@ -1,10 +1,10 @@
 """Contrastive objectives for multi-view embeddings.
 
-The primary objective is the regularized cosmean loss: row-wise cosine
-alignment between consecutive views plus a penalty on the alignment of
-their dominant principal directions, which pushes distinct views away
-from collapsing onto a shared axis.  The remaining losses (Euclidean,
-Barlow Twins, VICReg, CCA) form the comparison family used in ablations.
+The primary objective, stated once with its gradient w.r.t. every view,
+is the regularized cosmean loss over the view cycle: row-wise cosine
+alignment of consecutive views plus a penalty on the alignment of their
+dominant principal directions, which keeps views from collapsing onto a
+shared axis.  Euclidean, Barlow Twins, VICReg and CCA serve in ablations.
 """
 
 from __future__ import annotations
@@ -43,20 +43,34 @@ def _paired(ya, yb) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _over(num, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+
+
+def _cosine_terms(a: np.ndarray, b: np.ndarray):
+    """cosmean(a, b) and its gradients w.r.t. a and b from one set of row norms.
+
+    A row whose norm is zero in either matrix has reciprocal norm 0, so it
+    contributes similarity 0 and gets an exact zero gradient.
+    """
+    n = a.shape[0]
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    inv = _over(1.0, na * nb)
+    cos = np.einsum("ij,ij->i", a, b) * inv
+    da = -(b * inv[:, None] - _over(cos, na**2)[:, None] * a) / n
+    db = -(a * inv[:, None] - _over(cos, nb**2)[:, None] * b) / n
+    return float(1.0 - cos.mean()), da, db
+
+
 def cosmean(ya, yb) -> float:
     """One minus the mean row-wise cosine similarity.
 
     A row whose norm is zero in either matrix contributes similarity 0,
     i.e. a full unit of loss.
     """
-    a, b = _paired(ya, yb)
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    dots = np.einsum("ij,ij->i", a, b)
-    sims = np.zeros(a.shape[0])
-    live = (na > 0.0) & (nb > 0.0)
-    sims[live] = dots[live] / (na[live] * nb[live])
-    return float(1.0 - sims.mean())
+    return _cosine_terms(*_paired(ya, yb))[0]
 
 
 def _principal_axis(y):
@@ -88,6 +102,22 @@ def _principal_axis(y):
     return centered, gram, lam1, v1
 
 
+def _penalty_grad(centered, gram, mu1, v, v_other, sign):
+    """Gradient of sign * <v(Y), v_other> w.r.t. Y from `_principal_axis`'s state.
+
+    The top-eigenvector derivative is the pseudoinverse (mu1 I - G)^+
+    applied to the off-eigenvector part of v_other; the rank-one shift
+    makes the system nonsingular while pinning the solution orthogonal
+    to v.
+    """
+    d = gram.shape[0]
+    rhs = v_other - float(v_other @ v) * v
+    mat = mu1 * np.eye(d) - gram + mu1 * np.outer(v, v)
+    u = np.linalg.solve(mat, rhs)
+    gbar = sign * centered @ (np.outer(v, u) + np.outer(u, v))
+    return gbar - gbar.mean(axis=0, keepdims=True)
+
+
 def dominant_direction(y) -> np.ndarray:
     """Top principal direction of the column-centered embedding.
 
@@ -114,6 +144,32 @@ def regularized_cosmean(ya, yb, eta: float) -> float:
     return base + eta * abs(float(ca @ cb))
 
 
+def _objective(views, axes, eta: float):
+    """The view-cycle loss and its gradient w.r.t. every view.
+
+    Pair (i, i+1 mod K) adds cosmean and eta |<v_i, v_j>|, where `axes[i]`
+    is `_principal_axis(views[i])`; `axes` is None when eta is 0.  Views
+    are 2-D arrays of one shape.
+    """
+    k = len(views)
+    loss = 0.0
+    grads = [np.zeros_like(y) for y in views]
+    for i in range(k):
+        j = (i + 1) % k
+        value, da, db = _cosine_terms(views[i], views[j])
+        loss += value
+        grads[i] += da
+        grads[j] += db
+        if axes is not None:
+            vi, vj = axes[i][3], axes[j][3]
+            ip = float(vi @ vj)
+            loss += eta * abs(ip)
+            sign = float(np.sign(ip))
+            grads[i] += eta * _penalty_grad(*axes[i], vj, sign)
+            grads[j] += eta * _penalty_grad(*axes[j], vi, sign)
+    return loss, grads
+
+
 def total_loss(views, eta: float) -> float:
     """Sum of regularized cosmean over the consecutive-view cycle.
 
@@ -122,17 +178,9 @@ def total_loss(views, eta: float) -> float:
     """
     if len(views) < 2:
         raise ValueError(f"need at least 2 views, got {len(views)}")
-    k = len(views)
-    directions = None
-    if eta != 0.0:
-        directions = [dominant_direction(v) for v in views]
-    out = 0.0
-    for i in range(k):
-        j = (i + 1) % k
-        out += cosmean(views[i], views[j])
-        if directions is not None:
-            out += eta * abs(float(directions[i] @ directions[j]))
-    return float(out)
+    mats = [_paired(v, views[0])[0] for v in views]
+    axes = None if eta == 0.0 else [_principal_axis(m) for m in mats]
+    return float(_objective(mats, axes, eta)[0])
 
 
 def euclidean_loss(ya, yb) -> float:

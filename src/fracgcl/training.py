@@ -1,10 +1,10 @@
 """Joint training of projection weights and fractional orders.
 
-Plain gradient descent drives both the per-view weight matrices and the
-fractional orders; after each training round, orders that have drifted
-within a log-scale threshold of each other are merged and the survivors
-are retrained from fresh weights.  The loop ends when a round produces
-no merge, leaving a set of well-separated views.
+Plain gradient descent drives the per-view weights and fractional orders,
+chaining the objective's view gradients from `fracgcl.losses` through the
+activation, the projection and the diffusion filter.  After each round,
+orders within a log-scale threshold of each other are merged and the
+survivors retrained from fresh weights, until a round merges nothing.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .encoder import (
 from .losses import (
     DegenerateEmbeddingError,
     NoSpectralGapError,
+    _objective,
     _principal_axis,
-    cosmean,
 )
 from .solver import _diffusion_filter
 from .special import ml_spectrum
@@ -100,41 +100,6 @@ def clip_alpha(alpha: float, eps: float) -> float:
     return min(1.0, max(float(alpha), float(eps)))
 
 
-def _cosmean_pair_grads(a: np.ndarray, b: np.ndarray):
-    """Gradients of cosmean(a, b) w.r.t. both arguments; dead rows give 0."""
-    n = a.shape[0]
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    live = (na > 0.0) & (nb > 0.0)
-    da = np.zeros_like(a)
-    db = np.zeros_like(b)
-    inv = np.zeros(n)
-    inv[live] = 1.0 / (na[live] * nb[live])
-    cos = np.einsum("ij,ij->i", a, b) * inv
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ca = np.where(live, cos / na**2, 0.0)
-        cb = np.where(live, cos / nb**2, 0.0)
-    da[live] = -(b[live] * inv[live, None] - ca[live, None] * a[live]) / n
-    db[live] = -(a[live] * inv[live, None] - cb[live, None] * b[live]) / n
-    return da, db
-
-
-def _penalty_grad(centered, gram, mu1, v, v_other, sign):
-    """Gradient of sign * <v(Y), v_other> w.r.t. Y.
-
-    The top-eigenvector derivative is the pseudoinverse (mu1 I - G)^+
-    applied to the off-eigenvector part of v_other; the rank-one shift
-    makes the system nonsingular while pinning the solution orthogonal
-    to v.
-    """
-    d = gram.shape[0]
-    rhs = v_other - float(v_other @ v) * v
-    mat = mu1 * np.eye(d) - gram + mu1 * np.outer(v, v)
-    u = np.linalg.solve(mat, rhs)
-    gbar = sign * centered @ (np.outer(v, u) + np.outer(u, v))
-    return gbar - gbar.mean(axis=0, keepdims=True)
-
-
 def _direction_states(outs, alpha_list):
     """Principal-axis state of every view; a failure names the view."""
     states = []
@@ -153,32 +118,14 @@ def _loss_and_grads(filt, w_list, alpha_list, horizons, eta, activation):
     with G = dL/dY * act'(P W) the gradients are P^T G and <G, (dP/dalpha) W>.
     """
     act, act_grad = _activation(activation)
-    k = len(w_list)
     diffused = [
         filt.apply(np.stack(ml_spectrum(a, filt.nodes, h), axis=1))
         for a, h in zip(alpha_list, horizons)
     ]
     pre = [p @ w for (p, _), w in zip(diffused, w_list)]
     outs = [act(z) for z in pre]
-    states = None
-    if eta != 0.0:
-        states = _direction_states(outs, alpha_list)
-    loss = 0.0
-    d_out = [np.zeros_like(y) for y in outs]
-    for i in range(k):
-        j = (i + 1) % k
-        loss += cosmean(outs[i], outs[j])
-        da, db = _cosmean_pair_grads(outs[i], outs[j])
-        d_out[i] += da
-        d_out[j] += db
-        if states is not None:
-            vi, vj = states[i][3], states[j][3]
-            ip = float(vi @ vj)
-            loss += eta * abs(ip)
-            sign = float(np.sign(ip))
-            if sign != 0.0:
-                d_out[i] += eta * _penalty_grad(*states[i], vj, sign)
-                d_out[j] += eta * _penalty_grad(*states[j], vi, sign)
+    states = None if eta == 0.0 else _direction_states(outs, alpha_list)
+    loss, d_out = _objective(outs, states, eta)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}")
     grads_w = []

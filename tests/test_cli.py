@@ -17,6 +17,7 @@ from fracgcl.data import (
     load_dataset,
     load_matrix,
     save_dataset,
+    save_matrix,
     synth_cycle,
     synth_sbm,
 )
@@ -329,6 +330,35 @@ class TestTrainEmbedProbe:
         assert main(["probe", "--config", cfg]) == 0
         acc = json.loads((tmp_path / "o" / "accuracy.json").read_text())
         assert acc["train"] > 0.5
+
+    def _probe(self, tmp_path, dataset_dir, **probe):
+        cfg = _write_config(
+            tmp_path,
+            "probe.json",
+            {
+                "dataset": _dataset_section(dataset_dir),
+                "probe": {"epochs": 50, **probe},
+                "output_dir": str(tmp_path / "o"),
+            },
+        )
+        return main(["probe", "--config", cfg])
+
+    def test_probe_rejects_embedding_of_other_row_count(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        path = str(tmp_path / "big.fdmv")
+        save_matrix(np.random.default_rng(0).normal(size=(36, 3)), path)
+        assert self._probe(tmp_path, dataset_dir, embedding=path) == 1
+        assert "36 rows for 24 nodes" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "accuracy.json").exists()
+
+    def test_probe_rejects_unlabeled_test_nodes(self, tmp_path, dataset_dir, capsys):
+        test_nodes = set(json.loads((dataset_dir / "splits.json").read_text())["test"])
+        lines = (dataset_dir / "labels.csv").read_text().splitlines()
+        kept = [ln for ln in lines[1:] if int(ln.split(",")[0]) not in test_nodes]
+        (dataset_dir / "labels.csv").write_text("\n".join(lines[:1] + kept) + "\n")
+        assert self._probe(tmp_path, dataset_dir) == 1
+        assert "test split node" in capsys.readouterr().err
 
     def test_avla_trace_reports_merges(self, tmp_path, dataset_dir):
         cfg = _train_config(tmp_path, dataset_dir, "trace", k_init=3)

@@ -148,6 +148,21 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match="outside"):
             linear_probe(y, labels, {"train": [0, 99], "val": [], "test": []}, ProbeConfig())
 
+    def test_row_count_must_match_labels(self):
+        y, labels, splits = blob_fixture()
+        big = np.vstack([y, y[:30]])
+        with pytest.raises(ValueError, match="90 rows for 60 nodes"):
+            linear_probe(big, labels, splits, ProbeConfig())
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_unlabeled_split_node_rejected(self, split):
+        y, labels, splits = blob_fixture()
+        labels = labels.copy()
+        node = splits[split][3]
+        labels[splits[split][3:7]] = -1
+        with pytest.raises(ValueError, match=f"{split} split node {node} has no label"):
+            linear_probe(y, labels, splits, ProbeConfig())
+
 
 class TestRcRatio:
     def test_distant_blobs_large_ratio(self):

@@ -6,6 +6,9 @@ import pytest
 from fracgcl.losses import (
     DegenerateEmbeddingError,
     NoSpectralGapError,
+    _cosine_terms,
+    _objective,
+    _principal_axis,
     barlow_twins,
     cca_loss,
     cosmean,
@@ -180,6 +183,42 @@ class TestTotalLoss:
             ya @ rot, yb @ rot
         )
         assert abs(pen - pen_rot) < 1e-8
+
+
+class TestObjective:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_view_gradients_match_central_differences(self, k, eta):
+        rng = np.random.default_rng(20 + k)
+        views = [rng.normal(size=(6, 3)) for _ in range(k)]
+        # the zero row is shared, so every pair's cosine term stays flat
+        # along it and the difference sees only the penalty there
+        for v in views:
+            v[2] = 0.0
+        axes = None if eta == 0.0 else [_principal_axis(v) for v in views]
+        loss, grads = _objective(views, axes, eta)
+        assert loss == total_loss(views, eta)
+        step = 1e-5
+        for i, v in enumerate(views):
+            for r, c in np.ndindex(v.shape):
+                bumped = []
+                for sign in (1.0, -1.0):
+                    moved = [u.copy() for u in views]
+                    moved[i][r, c] += sign * step
+                    bumped.append(total_loss(moved, eta))
+                fd = (bumped[0] - bumped[1]) / (2 * step)
+                assert abs(grads[i][r, c] - fd) < 1e-7
+        if eta == 0.0:
+            assert all(np.all(g[2] == 0.0) for g in grads)
+
+    def test_zero_row_in_one_view_gets_zero_gradient(self):
+        rng = np.random.default_rng(24)
+        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        a[1] = 0.0
+        value, da, db = _cosine_terms(a, b)
+        assert value == cosmean(a, b)
+        assert np.all(da[1] == 0.0) and np.all(db[1] == 0.0)
+        assert np.all(np.isfinite(da)) and np.all(np.isfinite(db))
 
 
 class TestAblationLosses:

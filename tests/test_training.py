@@ -1,5 +1,7 @@
 """Tests for gradient computation, order clipping/merging, AVLA, and beta tuning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import cycle_graph, random_connected_graph, sbm_connected_graph
@@ -11,7 +13,13 @@ from fracgcl import training
 from fracgcl.diagnostics import ProbeConfig
 from fracgcl.encoder import EncoderBank, EncoderParams, encoder_forward, init_bank
 from fracgcl.graphs import eigendecompose, normalized_laplacian
-from fracgcl.losses import DegenerateEmbeddingError, NoSpectralGapError, dominant_direction
+from fracgcl.losses import (
+    DegenerateEmbeddingError,
+    NoSpectralGapError,
+    dominant_direction,
+    total_loss,
+)
+from fracgcl.solver import _diffusion_filter
 from fracgcl.training import (
     TrainConfig,
     avla,
@@ -204,7 +212,64 @@ class TestGradLoss:
         assert _max_tensor_gap(ga, gf) < 1e-7
 
 
+class TestLossAndGrads:
+    @pytest.mark.parametrize("operator", ["basis", "laplacian"])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_loss_is_total_loss_of_its_views(self, operator, eta, monkeypatch):
+        lap = normalized_laplacian(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2))
+        op = eigendecompose(lap) if operator == "basis" else lap
+        x = np.random.default_rng(5).normal(size=(24, 4))
+        rng = np.random.default_rng(6)
+        w_list = [rng.uniform(-1, 1, (4, 3)) for _ in range(3)]
+        seen = []
+        objective = training._objective
+
+        def recording(views, axes, eta):
+            seen.append(views)
+            return objective(views, axes, eta)
+
+        monkeypatch.setattr(training, "_objective", recording)
+        filt = _diffusion_filter(op, x, 2.0)
+        loss, _ = training._loss_and_grads(
+            filt, w_list, [0.2, 0.5, 0.9], [2.0] * 3, eta, "relu"
+        )
+        assert any(np.any(np.all(v == 0.0, axis=1)) for v in seen[0])
+        assert loss == total_loss(seen[0], eta)
+
+
 class TestAvla:
+    # sha256 of the final orders then every final weight matrix, and the last
+    # epoch's loss, for a run with one merge and ReLU-dead rows in its views
+    @pytest.mark.parametrize(
+        "operator, digest, last_loss",
+        [
+            (
+                "basis",
+                "31056247f92bb3a2958217a859858b2a131cfcc354fde4a8852154b96e383ff7",
+                2.0205727782229657,
+            ),
+            (
+                "laplacian",
+                "c864f866368eae629a5829e4f6bd2c5ee0420fd66be39ab4863a664250ebfa77",
+                2.0205727782228595,
+            ),
+        ],
+    )
+    def test_outputs_pinned(self, operator, digest, last_loss):
+        lap = normalized_laplacian(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2))
+        op = eigendecompose(lap) if operator == "basis" else lap
+        x = np.random.default_rng(5).normal(size=(24, 4))
+        cfg = TrainConfig(
+            k_init=4, epochs_n=6, lr_w=0.05, lr_alpha=0.05, merge_delta=0.3, seed=3
+        )
+        _, finals, bank, report = avla(op, x, cfg, horizon=2.0, d_hid=2)
+        h = hashlib.sha256(np.asarray(finals).tobytes())
+        for enc in bank.encoders:
+            h.update(np.ascontiguousarray(enc.weights).tobytes())
+        assert len(report.merge_events) == 1
+        assert h.hexdigest() == digest
+        assert report.losses[-1] == pytest.approx(last_loss, rel=1e-15, abs=0.0)
+
     def test_separated_orders_terminate_in_one_round(self, cyc10_basis):
         x = np.random.default_rng(0).normal(size=(10, 3))
         cfg = TrainConfig(k_init=2, lr_alpha=0.0, epochs_n=1, merge_delta=1e-4, seed=1)
@@ -311,10 +376,13 @@ class TestAvla:
             avla(cyc10_basis, np.ones((7, 2)), cfg, horizon=2.0)
 
     def test_non_finite_gradient_names_round_and_epoch(self, cyc10_basis, monkeypatch):
-        def poisoned(a, b):
-            return np.full_like(a, np.nan), np.full_like(b, np.nan)
+        objective = training._objective
 
-        monkeypatch.setattr(training, "_cosmean_pair_grads", poisoned)
+        def poisoned(views, axes, eta):
+            loss, grads = objective(views, axes, eta)
+            return loss, [np.full_like(g, np.nan) for g in grads]
+
+        monkeypatch.setattr(training, "_objective", poisoned)
         x = np.random.default_rng(9).normal(size=(10, 2))
         cfg = TrainConfig(k_init=2, epochs_n=1, seed=13)
         with pytest.raises(
