@@ -2,7 +2,7 @@
 
 File formats are deliberately small and explicit:
 
-* edges: CSV with header ``src,dst,weight``, written from the adjacency
+* edges: CSV with header ``src,dst,weight``, canonical edges in row-major order
 * features: CSV with header ``f0,...,f{d-1}``, one row per node in index order
 * labels: CSV with header ``node,label``; absent nodes are unlabeled (-1)
 * splits: JSON object ``{"train": [...], "val": [...], "test": [...]}``
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .graphs import Graph, _check_edges, _upper_triangle, build_graph
+from .graphs import Graph, _check_edges, build_graph
 
 __all__ = [
     "Dataset",
@@ -383,8 +383,8 @@ def save_dataset(
     split_path: str,
 ) -> None:
     """Write the four-file representation read back by load_dataset."""
-    triangle = (a.tolist() for a in _upper_triangle(ds.graph.adjacency))
-    body = "".join(map("{},{},{:.17g}\n".format, *triangle))
+    edges = (a.tolist() for a in (ds.graph.src, ds.graph.dst, ds.graph.weight))
+    body = "".join(map("{},{},{:.17g}\n".format, *edges))
     _atomic_write(edge_path, ("src,dst,weight\n" + body).encode())
     save_matrix(ds.features, feature_path, fmt="csv")
     lab_lines = ["node,label"]

@@ -147,8 +147,9 @@ def rc_ratio(y, labels) -> dict:
     labels = np.asarray(labels)
     if labels.shape[0] != m.shape[0]:
         raise ValueError("one label per row required")
-    diffs = m[:, None, :] - m[None, :, :]
-    dist = np.sqrt(np.sum(diffs**2, axis=2))
+    dist = np.empty((len(m), len(m)))
+    for i, row in enumerate(m):  # a row at a time: memory O(n^2 + nd), not O(n^2 d)
+        dist[i] = np.sqrt(np.sum((m - row) ** 2, axis=1))
     out = {}
     for c in np.unique(labels[labels >= 0]):
         inside = labels == c
@@ -435,7 +436,12 @@ def _lockstep_walk(
     """
     if not 0 <= start < g.n_nodes:
         raise ValueError(f"start node {start} out of range")
-    src, dst = np.nonzero(g.adjacency > 0)
+    # both directions of every edge in row-major order: the adjacency's nonzeros
+    off = g.src != g.dst
+    src, dst = np.concatenate((g.src, g.dst[off])), np.concatenate((g.dst, g.src[off]))
+    order = np.argsort(src * g.n_nodes + dst)
+    src, dst = src[order], dst[order]
+    weight = np.concatenate((g.weight, g.weight[off]))[order]
     indptr = np.searchsorted(src, np.arange(g.n_nodes + 1))
     occupancy = np.zeros(g.n_nodes)
     # the adjacency is symmetric, so only an isolated start can hold a
@@ -445,7 +451,7 @@ def _lockstep_walk(
         return occupancy
     # one sorted table: node index plus that node's cumulative-weight CDF,
     # so node + u with u in [0, 1) falls inside the node's own row
-    cum = np.cumsum(g.adjacency[src, dst])
+    cum = np.cumsum(weight)
     cum -= np.concatenate(([0.0], cum))[indptr[src]]
     table = src + cum / g.degrees()[src]
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -1,14 +1,13 @@
 """Graph construction, normalized Laplacian, spectral transforms, perturbation.
 
-All graphs are undirected with nonnegative edge weights, stored only as a
-dense adjacency from which the edge list is derived.  The Laplacian uses
-symmetric normalization, which keeps the eigenbasis orthonormal; isolated
-nodes get an identity row by convention (their signals never diffuse).
+All graphs are undirected with positive edge weights, stored as arrays of
+their canonical edges (the dense adjacency is derived on request).  The
+Laplacian uses symmetric normalization, which keeps the eigenbasis
+orthonormal; isolated nodes get an identity row (their signals never diffuse).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,19 +29,35 @@ _SYM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph, stored as its dense symmetric adjacency."""
+    """Undirected weighted graph, stored as its canonical edge arrays.
+
+    Edge k joins src[k] <= dst[k] with weight[k] > 0; the edges are the
+    nonzero upper triangle of the symmetric adjacency in row-major order.
+    """
 
     n_nodes: int  # node count, indices 0..n_nodes-1
-    adjacency: np.ndarray  # symmetric nonnegative (n, n) matrix
+    src: np.ndarray  # (m,) intp
+    dst: np.ndarray  # (m,) intp
+    weight: np.ndarray  # (m,) float
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense symmetric (n, n) adjacency, built anew on every access."""
+        adj = np.zeros((self.n_nodes, self.n_nodes))
+        adj[self.src, self.dst] = adj[self.dst, self.src] = self.weight
+        return adj
 
     @property
     def edges(self) -> tuple:
         """Canonical (src, dst, weight) triples with src <= dst, row-major."""
-        return tuple(zip(*(a.tolist() for a in _upper_triangle(self.adjacency))))
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree of every node (row sums of the adjacency)."""
-        return np.asarray(self.adjacency.sum(axis=1))
+        """Weighted degree of every node; a self-loop counts once."""
+        off = self.src != self.dst
+        return np.bincount(self.src, self.weight, self.n_nodes) + np.bincount(
+            self.dst[off], self.weight[off], self.n_nodes
+        )
 
 
 @dataclass(frozen=True)
@@ -59,12 +74,6 @@ class SpectralBasis:
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
-
-
-def _upper_triangle(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and weights of the nonzero upper triangle, row-major."""
-    rows, cols = np.nonzero(np.triu(adj > 0.0))
-    return rows, cols, adj[rows, cols]
 
 
 def _check_edges(n: int, src, dst, w, where) -> None:
@@ -85,8 +94,8 @@ def build_graph(n: int, edge_list) -> Graph:
     """Assemble a graph from a directed edge list.
 
     Duplicate (src, dst) entries collapse with the last occurrence winning;
-    the adjacency is then symmetrized by taking the maximum of the two
-    directions.
+    the graph is then symmetrized by taking the maximum of the two
+    directions, and pairs left with weight zero are dropped.
 
     Args:
         n: number of nodes.
@@ -94,34 +103,44 @@ def build_graph(n: int, edge_list) -> Graph:
             array of them, with 0 <= src, dst < n and weight >= 0.
 
     Returns:
-        Graph with a symmetric adjacency matrix.
+        Graph holding the canonical edge arrays.
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
     e = np.asarray(edge_list, dtype=float).reshape(-1, 3)
     _check_edges(n, e[:, 0], e[:, 1], e[:, 2], lambda k: f"edge {k}")
     src, dst = e[:, 0].astype(np.intp), e[:, 1].astype(np.intp)
-    # fancy assignment is unspecified for repeats: keep each pair's last explicitly
+    # the last occurrence of each directed pair wins
     last = len(e) - 1 - np.unique((src * n + dst)[::-1], return_index=True)[1]
-    adj = np.zeros((n, n))
-    adj[src[last], dst[last]] = e[last, 2]
-    return Graph(n_nodes=n, adjacency=np.maximum(adj, adj.T))
+    key = np.minimum(src, dst)[last] * n + np.maximum(src, dst)[last]
+    # sorted by pair, then weight: each pair's last entry is its larger direction
+    order = np.lexsort((e[last, 2], key))
+    key, w = key[order], e[last, 2][order]
+    keep = w > 0.0
+    keep[:-1] &= key[1:] != key[:-1]
+    src, dst = np.divmod(key[keep], n)
+    return Graph(n, src, dst, w[keep])
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Symmetrically normalized Laplacian I - D^(-1/2) A D^(-1/2).
 
-    Rows and columns of degree-zero nodes reduce to the identity row.
+    Rows and columns of degree-zero nodes reduce to the identity row.  One
+    n x n allocation holds -0.0 (that is -s_i 0 s_j) off the edges, and each
+    edge gets the exactly symmetric (-s_i w s_j + -s_j w s_i) / 2.
     """
     deg = g.degrees()
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0.0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    lap = -inv_sqrt[:, None] * g.adjacency * inv_sqrt[None, :]
-    np.fill_diagonal(lap, np.where(nz, 1.0 + lap.diagonal(), 1.0))
-    # self-loop weights appear in both A and D, so the diagonal needs the
-    # combined term; enforce exact symmetry against rounding
-    return (lap + lap.T) / 2.0
+    lap = np.full((g.n_nodes, g.n_nodes), -0.0)
+    np.fill_diagonal(lap, 1.0)
+    s_i, s_j, w = inv_sqrt[g.src], inv_sqrt[g.dst], g.weight
+    term = (-s_i * w * s_j + -s_j * w * s_i) / 2.0
+    # a self-loop's weight is in both A and D: its term joins the diagonal 1
+    term = np.where(g.src == g.dst, 1.0 + term, term)
+    lap[g.src, g.dst] = lap[g.dst, g.src] = term
+    return lap
 
 
 def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
@@ -167,22 +186,20 @@ def igft(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
 
 
 def n_components(g: Graph) -> int:
-    """Connected-component count by breadth-first search."""
-    seen = np.zeros(g.n_nodes, dtype=bool)
-    count = 0
-    for root in range(g.n_nodes):
-        if seen[root]:
-            continue
-        count += 1
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in np.flatnonzero(g.adjacency[u] > 0.0):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(int(v))
-    return count
+    """Connected-component count by min-label propagation.
+
+    Each node's label is the smallest node index it has reached; pointer
+    jumping (label of the label) lets labels cross long paths in few rounds.
+    """
+    label = np.arange(g.n_nodes)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, g.src, label[g.dst])
+        np.minimum.at(low, g.dst, label[g.src])
+        low = low[low]
+        if np.array_equal(low, label):
+            return len(np.unique(label))
+        label = low
 
 
 def perturb_graph(g: Graph, ratio: float, mode: str, seed: int) -> Graph:
@@ -207,16 +224,15 @@ def perturb_graph(g: Graph, ratio: float, mode: str, seed: int) -> Graph:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
     if mode not in ("add", "remove", "both"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
-    rows, cols, _ = _upper_triangle(g.adjacency)
-    if mode in ("remove", "both") and len(rows) == 0:
+    if mode in ("remove", "both") and len(g.src) == 0:
         raise ValueError("cannot remove edges from an empty graph")
     rng = np.random.default_rng(seed)
-    n_touch = int(ratio * len(rows))
-    adj = g.adjacency.copy()
+    n_touch = int(ratio * len(g.src))
+    adj = g.adjacency
 
     if mode in ("remove", "both") and n_touch > 0:
-        picks = rng.choice(len(rows), size=n_touch, replace=False)
-        adj[rows[picks], cols[picks]] = adj[cols[picks], rows[picks]] = 0.0
+        picks = rng.choice(len(g.src), size=n_touch, replace=False)
+        adj[g.src[picks], g.dst[picks]] = adj[g.dst[picks], g.src[picks]] = 0.0
 
     if mode in ("add", "both") and n_touch > 0:
         # flat row-major indices list the free pairs in triu_indices order
@@ -229,4 +245,5 @@ def perturb_graph(g: Graph, ratio: float, mode: str, seed: int) -> Graph:
         src, dst = np.divmod(picks, g.n_nodes)
         adj[src, dst] = adj[dst, src] = 1.0
 
-    return Graph(n_nodes=g.n_nodes, adjacency=adj)
+    rows, cols = np.nonzero(np.triu(adj > 0.0))
+    return Graph(g.n_nodes, rows, cols, adj[rows, cols])

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from fracgcl.graphs import build_graph, n_components
@@ -41,3 +43,14 @@ def sbm_connected_graph(n, n_blocks, p_in, p_out, seed):
         if n_components(g) == 1:
             return g
     raise RuntimeError("could not draw a connected SBM; raise p_in/p_out")
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes that tracemalloc saw allocated above the start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

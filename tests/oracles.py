@@ -6,8 +6,10 @@ sums the Maclaurin series at 40+ digits (where cancellation is harmless) and
 cross-checks against Talbot inversion of the Laplace transform; derivatives
 come from mpmath's numerical differentiation of the series, or from Talbot
 inversion of the transform's order derivative where the series converges
-too slowly.  The graph oracles are plain Python loops over lists.  The
-gradient oracle differences the value-only forward pass and loss in float64.
+too slowly.  The graph oracles are plain Python loops over lists, except the
+Laplacian oracle, which is the dense matrix formula over a full adjacency.
+The gradient oracle differences the value-only forward pass and loss in
+float64.
 """
 
 from __future__ import annotations
@@ -143,6 +145,22 @@ def adjacency_oracle(n: int, edge_list) -> list[list[float]]:
         adj[src][dst] = max(w, directed.get((dst, src), 0.0))
         adj[dst][src] = adj[src][dst]
     return adj
+
+
+def laplacian_oracle(adjacency) -> np.ndarray:
+    """I - D^(-1/2) A D^(-1/2) by the dense formula, degrees from row sums.
+
+    Degree-zero nodes get the identity row, and the result is symmetrized
+    as (L + L^T) / 2, so every pair without an edge holds -0.0.
+    """
+    adj = np.asarray(adjacency, dtype=float)
+    deg = adj.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    nz = deg > 0.0
+    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+    lap = -inv_sqrt[:, None] * adj * inv_sqrt[None, :]
+    np.fill_diagonal(lap, np.where(nz, 1.0 + lap.diagonal(), 1.0))
+    return (lap + lap.T) / 2.0
 
 
 def fd_grad(basis, features, bank, eta, activation, step=1e-5, coords=None):

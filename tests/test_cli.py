@@ -721,3 +721,40 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", _IMPORT_CHECK], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_RUN_CHECK = """
+import json, sys
+from fracgcl.cli import main
+assert main(sys.argv[1:]) == 0
+print(json.dumps([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]))
+"""
+
+
+def _scipy_modules_of_run(argv):
+    """Run the CLI in a fresh interpreter; return the scipy modules it loaded."""
+    src = os.path.dirname(os.path.dirname(fracgcl.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CHECK, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path, dataset_dir):
+    import scipy
+
+    cfg = _train_config(tmp_path, dataset_dir)
+    assert _scipy_modules_of_run(["train", "--config", cfg]) == []
+    versions = json.loads((tmp_path / "run" / "manifest.json").read_text())["versions"]
+    assert "scipy" not in versions
+    # the heavy-tailed walk draws its steps with scipy.special.zeta
+    walk = {"topology": "cycle", "n": 6, "alpha": 0.5, "t_end": 0.5}
+    walk.update(delta_tau=0.02, n_walkers=200)
+    cfg = _write_config(
+        tmp_path, "w.json", {"walk": walk, "output_dir": str(tmp_path / "w")}
+    )
+    assert "scipy.special" in _scipy_modules_of_run(["walk", "--config", cfg])
+    versions = json.loads((tmp_path / "w" / "manifest.json").read_text())["versions"]
+    assert versions["scipy"] == scipy.__version__

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from fracgcl.data import (
     Dataset,
@@ -353,6 +354,18 @@ class TestDatasetFiles:
             str(tmp_path / "labels.csv"),
             str(tmp_path / "splits.json"),
         )
+
+    def test_no_dense_matrix_on_the_way_in_or_out(self, tmp_path):
+        # synth, save and load hold the graph as edges: each peaks below one
+        # n x n float array (the benchmark's block model, 6% dense)
+        n = 1500
+        spec = _spec(n=n, n_blocks=2, p_in=0.02, p_out=0.1, feature_dim=8)
+        ds, synth_peak = traced_peak(lambda: synth_sbm(spec))
+        paths = self._paths(tmp_path)
+        _, save_peak = traced_peak(lambda: save_dataset(ds, *paths))
+        back, load_peak = traced_peak(lambda: load_dataset(*paths))
+        assert back.graph.edges == ds.graph.edges
+        assert max(synth_peak, save_peak, load_peak) < n * n * 8
 
     def test_roundtrip_equality(self, tmp_path):
         ds = synth_sbm(_spec())

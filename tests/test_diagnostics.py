@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import cycle_graph, sbm_connected_graph
+from conftest import cycle_graph, sbm_connected_graph, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -219,6 +219,14 @@ class TestRcRatio:
         labels = np.array([0, 0, 0, 1, 1, 1, -1, -1, -1, -1])
         out = rc_ratio(y, labels)
         assert set(out) == {0, 1}
+
+    def test_memory_is_quadratic_in_rows(self):
+        # the whole n x n x d difference tensor would be 10 MB here
+        rng = np.random.default_rng(6)
+        n = 400
+        y = rng.normal(size=(n, 8))
+        _, peak = traced_peak(lambda: rc_ratio(y, np.arange(n) % 4))
+        assert peak < 2 * n * n * 8
 
 
 class TestSpectrumAndRank:

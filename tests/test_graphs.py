@@ -18,7 +18,8 @@ from fracgcl.graphs import (
     perturb_graph,
 )
 
-from oracles import adjacency_oracle, component_count
+from conftest import traced_peak
+from oracles import adjacency_oracle, component_count, laplacian_oracle
 
 
 def cycle_edges(n):
@@ -51,6 +52,16 @@ def edge_lists(draw):
         )
         edges.insert(draw(st.integers(0, len(edges))), bad)
     return n, edges
+
+
+@st.composite
+def integer_edge_lists(draw):
+    """Valid (n, edges) with duplicates, self-loops, zero weights and, often,
+    isolated nodes; integer degrees are exact in any summation order."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    return n, draw(st.lists(st.tuples(node, node, weight), max_size=30))
 
 
 class TestBuildGraph:
@@ -87,6 +98,15 @@ class TestBuildGraph:
     def test_cycle_degrees(self):
         g = build_graph(4, cycle_edges(4))
         assert np.allclose(g.degrees(), 2.0)
+
+    def test_self_loop_counts_once_in_degree(self):
+        g = build_graph(3, [(0, 0, 2.0), (1, 0, 1.0)])
+        assert g.degrees().tolist() == [3.0, 1.0, 0.0]
+
+    def test_edge_arrays_are_canonical(self):
+        g = build_graph(4, [(3, 1, 2.0), (0, 2, 0.0), (2, 2, 1.0), (1, 0, 1.0)])
+        assert g.src.tolist() == [0, 1, 2] and g.dst.tolist() == [1, 3, 2]
+        assert g.weight.tolist() == [1.0, 2.0, 1.0]
 
     def test_duplicate_last_wins(self):
         g = build_graph(3, [(0, 1, 1.0), (0, 1, 5.0)])
@@ -130,6 +150,37 @@ class TestNormalizedLaplacian:
             g = random_graph(20, 0.25, 100 + seed)
             vals = np.linalg.eigvalsh(normalized_laplacian(g))
             assert vals.min() > -1e-12 and vals.max() < 2.0 + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=integer_edge_lists())
+    def test_matches_dense_oracle_byte_for_byte(self, case):
+        # the -0.0 in every pair without an edge included
+        n, edges = case
+        lap = normalized_laplacian(build_graph(n, edges))
+        assert lap.tobytes() == laplacian_oracle(adjacency_oracle(n, edges)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_real_weights_within_4_ulp_of_dense_oracle(self, seed):
+        # degrees are summed in another order than the oracle's row sums; the
+        # gap grows with the degree (6 ulp seen on 30 nodes of degree ~13)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        nodes = rng.integers(0, n, (2, 3 * n))
+        edges = np.column_stack((*nodes, rng.random(3 * n)))
+        lap = normalized_laplacian(build_graph(n, edges))
+        ref = laplacian_oracle(adjacency_oracle(n, edges))
+        # the diagonal's unit is the 1 in 1 - s w s, not the cancelled result
+        assert np.all(np.abs(lap - ref) <= 4 * np.spacing(np.abs(ref) + np.eye(n)))
+
+    def test_one_dense_allocation(self):
+        n = 1500
+        rng = np.random.default_rng(3)
+        src, dst = np.triu_indices(n, 1)
+        hit = rng.random(len(src)) < 0.06
+        g = build_graph(n, np.column_stack((src[hit], dst[hit], np.ones(hit.sum()))))
+        _, peak = traced_peak(lambda: normalized_laplacian(g))
+        edge_bytes = g.src.nbytes + g.dst.nbytes + g.weight.nbytes
+        assert peak < 1.25 * n * n * 8 + edge_bytes
 
 
 class TestEigendecompose:
@@ -200,6 +251,15 @@ class TestEigendecompose:
         else:
             with pytest.raises(ValueError, match="symmetric"):
                 eigendecompose(lap)
+
+
+class TestNComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(case=integer_edge_lists())
+    def test_matches_bfs_oracle(self, case):
+        n, edges = case
+        expected = component_count(adjacency_oracle(n, edges))
+        assert n_components(build_graph(n, edges)) == expected
 
 
 class TestFourier:
