@@ -43,11 +43,17 @@ _MAGIC = b"FDMV"
 _VERSION = 1
 _EDGE_CSV = dict(dtype="i8,i8,f8", delimiter=",", comments=None, ndmin=1, unpack=True)
 _MATRIX_CSV = dict(dtype=float, delimiter=",", comments=None, quotechar='"', ndmin=2)
+# pairs per rng call in synth_sbm, and edges per chunk of an edges CSV
+_SBM_DRAWS = 1 << 16
+_EDGE_CHUNK = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A graph with node features, integer labels (-1 = unlabeled), and splits."""
+    """A graph with node features, integer labels (-1 = unlabeled), and splits.
+
+    Datasets compare by identity, as graphs do.
+    """
 
     graph: Graph
     features: np.ndarray
@@ -131,13 +137,20 @@ def synth_sbm(spec: SynthSpec) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     size = spec.n // spec.n_blocks
     labels = np.repeat(np.arange(spec.n_blocks), size)
-    # row by row, the stream gives one draw per upper-triangle pair in order
+    # the stream gives one draw per upper-triangle pair in row-major order,
+    # taken a block of whole rows (about _SBM_DRAWS pairs) per call
+    row_len = np.arange(spec.n - 1, 0, -1)
+    row_start = np.concatenate(([0], np.cumsum(row_len)))
     edges = [np.zeros((0, 3))]  # keeps the concatenation valid at n=1
-    for i in range(spec.n - 1):
-        others = np.arange(i + 1, spec.n)
-        p = np.where(labels[others] == labels[i], spec.p_in, spec.p_out)
-        hit = others[rng.random(len(others)) < p]
-        edges.append(np.column_stack((np.full(len(hit), i), hit, np.ones(len(hit)))))
+    lo = 0
+    while lo < spec.n - 1:
+        hi = min(np.searchsorted(row_start, row_start[lo] + _SBM_DRAWS), spec.n - 1)
+        rows = np.repeat(np.arange(lo, hi), row_len[lo:hi])
+        cols = np.arange(row_start[lo], row_start[hi]) - row_start[rows] + rows + 1
+        p = np.where(labels[cols] == labels[rows], spec.p_in, spec.p_out)
+        hit = rng.random(len(rows)) < p
+        edges.append(np.column_stack((rows[hit], cols[hit], np.ones(hit.sum()))))
+        lo = hi
     graph = build_graph(spec.n, np.concatenate(edges))
     means = np.zeros((spec.n_blocks, spec.feature_dim))
     for c in range(spec.n_blocks):
@@ -180,10 +193,11 @@ def synth_grid(rows: int, cols: int) -> Graph:
     return build_graph(rows * cols, np.column_stack((src, dst, np.ones(len(src)))))
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, payload) -> None:
+    """Write bytes, or an iterable of byte chunks, through a temp file and a rename."""
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        fh.writelines([payload] if isinstance(payload, bytes) else payload)
     os.replace(tmp, path)
 
 
@@ -383,9 +397,15 @@ def save_dataset(
     split_path: str,
 ) -> None:
     """Write the four-file representation read back by load_dataset."""
-    edges = (a.tolist() for a in (ds.graph.src, ds.graph.dst, ds.graph.weight))
-    body = "".join(map("{},{},{:.17g}\n".format, *edges))
-    _atomic_write(edge_path, ("src,dst,weight\n" + body).encode())
+    g = ds.graph
+
+    def edge_lines():  # _EDGE_CHUNK edges at a time, so memory stays flat
+        yield b"src,dst,weight\n"
+        for k in range(0, len(g.src), _EDGE_CHUNK):
+            part = (a[k : k + _EDGE_CHUNK].tolist() for a in (g.src, g.dst, g.weight))
+            yield "".join(map("{},{},{:.17g}\n".format, *part)).encode()
+
+    _atomic_write(edge_path, edge_lines())
     save_matrix(ds.features, feature_path, fmt="csv")
     lab_lines = ["node,label"]
     for node, label in enumerate(ds.labels):

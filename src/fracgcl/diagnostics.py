@@ -470,6 +470,30 @@ def _lockstep_walk(
     return np.bincount(node, minlength=g.n_nodes) / n_walkers
 
 
+def _bucket_search(table: np.ndarray):
+    """``u -> np.searchsorted(table, u, side="right")`` for keys u in [0, 1).
+
+    A guide table over G = 2^k equal buckets of [0, 1), G between 4 and 8
+    times len(table) (Chen & Asau 1974; Devroye 1986, sec. III.2.4).  G is
+    a power of two, so b = floor(u G) and the edges b / G are exact, and
+    every key of bucket b has a slot between the slots of its two edges.
+    Where those agree the bucket holds no table entry and its slot is
+    final; only keys in the other buckets take the binary search.
+    """
+    n_buckets = 1 << (len(table).bit_length() + 2)
+    edges = np.searchsorted(table, np.arange(n_buckets + 1) / n_buckets, side="right")
+    # -1 marks a bucket with a table entry inside
+    direct = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+
+    def search(u: np.ndarray) -> np.ndarray:
+        slots = direct[(u * n_buckets).astype(np.intp)]
+        mixed = np.flatnonzero(slots < 0)
+        slots[mixed] = np.searchsorted(table, u[mixed], side="right")
+        return slots
+
+    return search
+
+
 def random_walk_sim(g: Graph, cfg: WalkConfig, start: int) -> np.ndarray:
     """Occupancy distribution of heavy-tailed-waiting walkers at t_end.
 
@@ -480,15 +504,22 @@ def random_walk_sim(g: Graph, cfg: WalkConfig, start: int) -> np.ndarray:
     because such a walker cannot act again before t_end.  All walkers step
     in lockstep from one stream seeded by cfg.seed, so the result is
     deterministic per seed, and memory is O(n_walkers).
+
+    A wait is the slot of a uniform u in the wait CDF, the count of CDF
+    entries <= u.  `_bucket_search` finds it through a bucket table of
+    O(ladder) memory, built once per call; its slots equal a binary search
+    over the CDF for every key, so the occupancies are those of
+    np.searchsorted draw for draw.
     """
     n_cap = int(np.floor(cfg.t_end / cfg.delta_tau)) + 1
     ladder = np.arange(1, n_cap + 1, dtype=float)
     wait_cdf = np.cumsum(ladder ** -(1.0 + cfg.alpha) * cfg.tail_norm())
+    slot_of = _bucket_search(wait_cdf)
+    # slot n_cap is a wait past the ladder cap, which exceeds the whole horizon
+    wait_of = np.append(ladder, np.inf)
 
     def waits(rng, k):
-        slots = np.searchsorted(wait_cdf, rng.random(k), side="right")
-        # a wait past the ladder cap exceeds the whole horizon
-        return np.where(slots < n_cap, slots + 1.0, np.inf)
+        return wait_of[slot_of(rng.random(k))]
 
     # time counted in whole delta_tau steps, so the sums are exact integers
     return _lockstep_walk(

@@ -27,12 +27,14 @@ __all__ = [
 _SYM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph, stored as its canonical edge arrays.
 
     Edge k joins src[k] <= dst[k] with weight[k] > 0; the edges are the
     nonzero upper triangle of the symmetric adjacency in row-major order.
+    Graphs compare by identity (an array field has no single truth value);
+    compare `edges` for equal graphs.
     """
 
     n_nodes: int  # node count, indices 0..n_nodes-1
@@ -60,12 +62,12 @@ class Graph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Eigendecomposition of a normalized Laplacian.
 
     Eigenvalues are sorted ascending and column i of `eigenvectors` pairs
-    with `eigenvalues[i]`.
+    with `eigenvalues[i]`.  Bases compare by identity, as graphs do.
     """
 
     eigenvalues: np.ndarray  # ascending, in [0, 2]

@@ -172,9 +172,12 @@ def _diffusion_filter(operator, state: np.ndarray, horizon: float) -> _Diffusion
     stack = np.empty((m + 1, *y.shape))
     stack[0] = y
     stack[1] = lap @ y - y
+    # each term's norm as it is made: a norm over the stack would copy it
+    norms = np.empty(m + 1)
+    norms[:2] = np.linalg.norm(stack[0]), np.linalg.norm(stack[1])
     for j in range(2, m + 1):
         stack[j] = 2.0 * (lap @ stack[j - 1] - stack[j - 1]) - stack[j - 2]
-    norms = np.linalg.norm(stack.reshape(m + 1, -1), axis=1)
+        norms[j] = np.linalg.norm(stack[j])
     if np.any(norms > (1.0 + _STACK_SLACK) * norms[0]):
         raise ValueError(
             "the Chebyshev filter needs a symmetric Laplacian with spectrum in [0, 2]; "

@@ -18,6 +18,7 @@ from fracgcl.diagnostics import (
     TopologyPerturbation,
     WalkConfig,
     WeightPerturbation,
+    _bucket_search,
     check_theorem_sgi,
     ctmc_walk_sim,
     effective_rank,
@@ -458,6 +459,72 @@ class TestRandomWalk:
             emp = random_walk_sim(g, cfg, start=0)
             tvs.append(0.5 * np.abs(emp - ref).sum())
         assert tvs[1] < tvs[0]
+
+    # recorded with one np.searchsorted over the wait CDF per round; the
+    # bucket table must draw the same waits from the same uniforms
+    @pytest.mark.parametrize(
+        "graph, cfg, digest",
+        [
+            # the benchmark's walk-cycle setup, a 201-slot ladder
+            (
+                "cycle",
+                dict(alpha=0.5, t_end=1.0, delta_tau=0.005, n_walkers=100_000, seed=1),
+                "905eb55568ebbd8fb9510ec46f9d60ff4e187a9301d4b0524cf84cf70ec9282f",
+            ),
+            (
+                "irregular",
+                dict(alpha=0.05, t_end=2.0, delta_tau=0.01, n_walkers=20_000, seed=3),
+                "9d2c02dbf8783279f0c321078525150af68e5642beacb236249016792c91cf30",
+            ),
+            (
+                "irregular",
+                dict(alpha=0.95, t_end=2.0, delta_tau=0.01, n_walkers=20_000, seed=3),
+                "bca72e324dacc50fce33a97eb9c66afe2853d9cff5af6a98d4803a2c8b7595b7",
+            ),
+            # 10,001 slots: the upper buckets each hold many CDF entries
+            (
+                "cycle",
+                dict(alpha=0.5, t_end=1.0, delta_tau=1e-4, n_walkers=20_000, seed=5),
+                "92c2351eb212e9bc54e8310d818b44c13bb974cc2b10bdbbb9a1af905464a94f",
+            ),
+        ],
+        ids=["walk-cycle", "irregular-0.05", "irregular-0.95", "long-ladder"],
+    )
+    def test_occupancies_pinned(self, graph, cfg, digest):
+        g = cycle_graph(10) if graph == "cycle" else irregular_graph()
+        occ = random_walk_sim(g, WalkConfig(**cfg), start=0)
+        assert hashlib.sha256(occ.tobytes()).hexdigest() == digest
+
+
+class TestBucketSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_binary_search(self, data):
+        unit = st.floats(0.0, 1.0, exclude_max=True)
+        spread = data.draw(st.lists(st.floats(0.0, 1.0), max_size=40), label="spread")
+        # many entries inside one bucket: a table denser than the buckets
+        center = data.draw(unit, label="center")
+        offsets = data.draw(st.lists(st.floats(0.0, 1e-6), max_size=80), label="offsets")
+        ties = spread[: data.draw(st.integers(0, len(spread)), label="ties")]
+        # bucket edges k / 2^j, as keys and as table entries
+        level = data.draw(st.integers(0, 12), label="level")
+        edges = [k / 2**level for k in data.draw(st.lists(st.integers(0, 2**level - 1)))]
+        cluster = np.minimum(center + np.array(offsets), 1.0)
+        table = np.sort(np.concatenate((spread, ties, cluster, edges[:3])))
+        inside = table[table < 1.0]
+        keys = np.concatenate((
+            data.draw(st.lists(unit, max_size=40), label="keys"),
+            inside,
+            np.nextafter(inside, 0.0),
+            edges,
+            [0.0, np.nextafter(1.0, 0.0)],
+        ))
+        got = _bucket_search(table)(keys)
+        assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
+
+    def test_empty_table(self):
+        keys = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        assert _bucket_search(np.zeros(0))(keys).tolist() == [0, 0, 0]
 
 
 class TestCtmcWalk:

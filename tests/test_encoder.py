@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, sbm_connected_graph
+from conftest import random_connected_graph, sbm_connected_graph, traced_peak
 from fracgcl.encoder import (
     EncoderBank,
     EncoderParams,
@@ -266,6 +266,13 @@ class TestFeatureFilter:
         p = EncoderParams(weights=np.eye(4), alpha=0.5, horizon=20.0)
         with pytest.raises(ValueError, match=r"spectrum in \[0, 2\]"):
             encoder_forward(combinatorial, x, p)
+
+    def test_stack_is_the_only_large_allocation(self):
+        # the [0, 2] check once squared the whole stack into a second one
+        lap = normalized_laplacian(sbm_connected_graph(300, 3, 0.1, 0.01, seed=5))
+        x = np.random.default_rng(7).normal(size=(300, 8))
+        filt, peak = traced_peak(lambda: _diffusion_filter(lap, x, 20.0))
+        assert peak < 1.25 * filt.stack.nbytes
 
     def test_degree_grows_with_the_horizon_from_a_floor(self):
         degrees = [_chebyshev_degree(t) for t in (0.01, 2.0, 10.0, 20.0, 100.0)]

@@ -116,6 +116,14 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1, 1.0), (1, 0, 4.0)])
         assert g.adjacency[0, 1] == 4.0 and g.adjacency[1, 0] == 4.0
 
+    def test_equality_is_identity(self):
+        # the generated field-wise __eq__ raised on array fields
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        copy = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert g == g and not g == copy and g != copy
+        basis = eigendecompose(normalized_laplacian(g))
+        assert basis == basis and basis != eigendecompose(normalized_laplacian(copy))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             build_graph(2, [(0, 2, 1.0)])
