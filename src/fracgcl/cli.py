@@ -581,9 +581,6 @@ def _write_manifest(
         "wall_time_s": round(time.perf_counter() - started, 6),
         **entries,
     }
-    # only a run that loaded scipy records it: importing it costs ~15 ms
-    if "scipy" in sys.modules:
-        manifest["versions"]["scipy"] = sys.modules["scipy"].__version__
     dio.save_report(manifest, _out_path(cfg, "manifest.json"))
 
 

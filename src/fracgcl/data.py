@@ -141,7 +141,7 @@ def synth_sbm(spec: SynthSpec) -> Dataset:
     # taken a block of whole rows (about _SBM_DRAWS pairs) per call
     row_len = np.arange(spec.n - 1, 0, -1)
     row_start = np.concatenate(([0], np.cumsum(row_len)))
-    edges = [np.zeros((0, 3))]  # keeps the concatenation valid at n=1
+    pairs = [(np.zeros(0, np.intp),) * 2]  # keeps the concatenation valid at n=1
     lo = 0
     while lo < spec.n - 1:
         hi = min(np.searchsorted(row_start, row_start[lo] + _SBM_DRAWS), spec.n - 1)
@@ -149,9 +149,11 @@ def synth_sbm(spec: SynthSpec) -> Dataset:
         cols = np.arange(row_start[lo], row_start[hi]) - row_start[rows] + rows + 1
         p = np.where(labels[cols] == labels[rows], spec.p_in, spec.p_out)
         hit = rng.random(len(rows)) < p
-        edges.append(np.column_stack((rows[hit], cols[hit], np.ones(hit.sum()))))
+        pairs.append((rows[hit], cols[hit]))
         lo = hi
-    graph = build_graph(spec.n, np.concatenate(edges))
+    # drawn row-major with src < dst, each pair once: already canonical
+    src, dst = (np.concatenate(side) for side in zip(*pairs))
+    graph = Graph(spec.n, src, dst, np.ones(len(src)))
     means = np.zeros((spec.n_blocks, spec.feature_dim))
     for c in range(spec.n_blocks):
         means[c, c] = spec.class_mean_separation

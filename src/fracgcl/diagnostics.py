@@ -17,7 +17,7 @@ from .data import _plain
 from .encoder import EncoderBank
 from .graphs import Graph, SpectralBasis, eigendecompose, normalized_laplacian, perturb_graph
 from .solver import _diffusion_filter, skip_multiplier
-from .special import _tail_coeffs, gamma, ml_spectrum
+from .special import _tail_coeffs, gamma, ml_spectrum, zeta
 
 __all__ = [
     "ProbeConfig",
@@ -98,13 +98,15 @@ def linear_probe(y, labels, splits, cfg: ProbeConfig):
             raise ValueError(f"{name} split node {unlabeled[0]} has no label")
         idx[name] = part
     for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
-        if np.intersect1d(idx[a], idx[b]).size:
+        in_a = np.zeros(m.shape[0], dtype=bool)
+        in_a[idx[a]] = True
+        if in_a[idx[b]].any():
             raise ValueError(f"{a} and {b} splits overlap")
     train = idx["train"]
-    classes = np.unique(labels[train])
+    # a plain np.unique would import numpy.ma (numpy 2.4); return_inverse does not
+    classes, class_idx = np.unique(labels[train], return_inverse=True)
     if classes.size < 2:
         raise ValueError("training split must contain at least 2 classes")
-    class_of = {c: i for i, c in enumerate(classes)}
 
     centered = m - m[train].mean(axis=0, keepdims=True)
     cov = centered[train].T @ centered[train] / max(train.size - 1, 1)
@@ -115,8 +117,7 @@ def linear_probe(y, labels, splits, cfg: ProbeConfig):
     x = np.hstack([feats, np.ones((m.shape[0], 1))])
 
     onehot = np.zeros((train.size, classes.size))
-    for row, node in enumerate(train):
-        onehot[row, class_of[labels[node]]] = 1.0
+    onehot[np.arange(train.size), class_idx] = 1.0
     xtr = x[train]
     w = np.zeros((x.shape[1], classes.size))
     reg_mask = np.ones_like(w)
@@ -405,10 +406,8 @@ class WalkConfig:
             )
 
     def tail_norm(self) -> float:
-        # imported on first use, so that `import fracgcl` loads no scipy
-        from scipy.special import zeta
-
-        return 1.0 / float(zeta(1.0 + self.alpha))
+        # 1/zeta(1+alpha) normalizes the wait law P(n) = n^-(1+alpha) over n >= 1
+        return 1.0 / zeta(1.0 + self.alpha)
 
     def move_probability(self) -> float:
         return (

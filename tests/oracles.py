@@ -81,6 +81,12 @@ def gamma_oracle(x: float, dps: int = 40) -> float:
         return float(mp.gamma(mp.mpf(float(x))))
 
 
+def zeta_oracle(s: float, dps: int = 40) -> float:
+    """Riemann zeta at the double s, in arbitrary precision (mpmath's own method)."""
+    with mp.workdps(dps):
+        return float(mp.zeta(mp.mpf(float(s))))
+
+
 def tail_coeffs_oracle(alpha: float, lam: float, n_terms: int, dps: int = 40) -> list[float]:
     """a_j = (-1)^(j+1) / (lam^j Gamma(1 - j alpha)) for j = 1..n_terms."""
     with mp.workdps(dps):

@@ -742,19 +742,17 @@ def _scipy_modules_of_run(argv):
     return json.loads(proc.stdout)
 
 
-def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path, dataset_dir):
-    import scipy
-
+def test_train_and_walk_load_no_scipy(tmp_path, dataset_dir):
+    # each run in a fresh interpreter; the walk's zeta(1 + alpha) is fracgcl's own
     cfg = _train_config(tmp_path, dataset_dir)
     assert _scipy_modules_of_run(["train", "--config", cfg]) == []
     versions = json.loads((tmp_path / "run" / "manifest.json").read_text())["versions"]
     assert "scipy" not in versions
-    # the heavy-tailed walk draws its steps with scipy.special.zeta
     walk = {"topology": "cycle", "n": 6, "alpha": 0.5, "t_end": 0.5}
     walk.update(delta_tau=0.02, n_walkers=200)
     cfg = _write_config(
         tmp_path, "w.json", {"walk": walk, "output_dir": str(tmp_path / "w")}
     )
-    assert "scipy.special" in _scipy_modules_of_run(["walk", "--config", cfg])
+    assert _scipy_modules_of_run(["walk", "--config", cfg]) == []
     versions = json.loads((tmp_path / "w" / "manifest.json").read_text())["versions"]
-    assert versions["scipy"] == scipy.__version__
+    assert "scipy" not in versions

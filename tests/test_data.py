@@ -174,6 +174,15 @@ class TestSynthSbm:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == "fdc4db2e01be5870f6c7eb57579e28d4d89e8bee9d8ed9c5030861cfa1d2fef0"
 
+    @pytest.mark.parametrize("n, n_blocks", [(1, 1), (3, 3), (90, 3), (600, 3)])
+    def test_graph_is_canonical(self, n, n_blocks):
+        # synth_sbm builds its Graph from the drawn arrays, not through build_graph
+        g = synth_sbm(_spec(n=n, n_blocks=n_blocks, p_in=0.3, p_out=0.05, seed=1)).graph
+        ref = build_graph(n, np.column_stack((g.src, g.dst, g.weight)))
+        for name in ("src", "dst", "weight"):
+            got, want = getattr(g, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_same_seed_bitwise_identical(self):
         a = synth_sbm(_spec())
         b = synth_sbm(_spec())

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.special import gamma as gamma_ref
+from scipy.special import zeta as zeta_ref
 
+import fracgcl
 from fracgcl.diagnostics import (
     InitStatePerturbation,
     ProbeConfig,
@@ -141,8 +146,40 @@ class TestLinearProbe:
     def test_overlapping_splits_rejected(self):
         y, labels, _ = blob_fixture()
         splits = {"train": [0, 1, 40], "val": [1, 2], "test": []}
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="train and val splits overlap"):
             linear_probe(y, labels, splits, ProbeConfig())
+
+    @pytest.mark.parametrize(
+        "test, pair", [([3, 40], "train and test"), ([3, 4], "val and test")]
+    )
+    def test_overlap_names_the_pair(self, test, pair):
+        y, labels, _ = blob_fixture()
+        splits = {"train": [0, 1, 40], "val": [2, 3], "test": test}
+        with pytest.raises(ValueError, match=f"{pair} splits overlap"):
+            linear_probe(y, labels, splits, ProbeConfig())
+
+    def test_sparse_class_labels(self):
+        # classes are the sorted labels present in the training split
+        y, labels, splits = blob_fixture()
+        base = linear_probe(y, labels, splits, ProbeConfig())
+        assert linear_probe(y, 7 * labels + 2, splits, ProbeConfig()) == base
+
+    def test_loads_no_numpy_ma(self):
+        # a plain np.unique imports numpy.ma on first use (numpy 2.4)
+        code = (
+            "import sys, numpy as np\n"
+            "from fracgcl.diagnostics import ProbeConfig, linear_probe\n"
+            "y = np.arange(24.0).reshape(8, 3) ** 0.5\n"
+            "labels = np.array([0, 1] * 4)\n"
+            "linear_probe(y, labels, {'train': range(6), 'test': [6, 7]}, ProbeConfig())\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(fracgcl.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_out_of_range_index_rejected(self):
         y, labels, _ = blob_fixture()
@@ -398,6 +435,12 @@ class TestWalkConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             WalkConfig(**base)
+
+    @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3, 0.5, 0.75, 0.99])
+    def test_tail_norm_matches_scipy(self, alpha):
+        cfg = WalkConfig(alpha=alpha, t_end=1.0, delta_tau=1e-6, n_walkers=10, seed=0)
+        ref = 1.0 / float(zeta_ref(1.0 + alpha))
+        assert cfg.tail_norm() == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 class TestRandomWalk:

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, erfcx
 
-from fracgcl.special import _tail_coeffs, dml_dalpha, gamma, ml, ml_asymptotic, ml_spectrum
+from fracgcl.special import (
+    _tail_coeffs,
+    dml_dalpha,
+    gamma,
+    ml,
+    ml_asymptotic,
+    ml_spectrum,
+    zeta,
+)
 
 from oracles import (
     dml_oracle,
@@ -23,6 +31,7 @@ from oracles import (
     ml_oracle,
     ml_oracle_laplace,
     tail_coeffs_oracle,
+    zeta_oracle,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -71,6 +80,35 @@ class TestGamma:
         for x in xs:
             ref = gamma_oracle(x)
             assert gamma(x) == pytest.approx(ref, rel=1e-12)
+
+
+class TestZeta:
+    def test_accuracy_grid(self):
+        # 240 orders alpha in [1e-4, 1), each at the float s = 1 + alpha
+        alphas = np.concatenate((np.geomspace(1e-4, 0.05, 80), np.linspace(0.05, 0.999, 160)))
+        for alpha in alphas:
+            s = 1.0 + alpha
+            assert zeta(s) == pytest.approx(zeta_oracle(s), rel=1e-15, abs=0.0)
+
+    def test_larger_arguments(self):
+        for s in (2.5, 3.0, 4.0, 7.5, 12.0, 30.0, 60.0):
+            assert zeta(s) == pytest.approx(zeta_oracle(s), rel=1e-15, abs=0.0)
+        assert zeta(1e300) == 1.0
+
+    def test_basel_value(self):
+        assert abs(zeta(2.0) - math.pi**2 / 6) <= math.ulp(math.pi**2 / 6)
+
+    def test_pole_residue(self):
+        # zeta(1 + alpha) = 1/alpha + Euler's gamma + O(alpha), with alpha = s - 1
+        # taken from the float s itself (1 + 1e-12 rounds to 1 + 1.00009e-12)
+        for s in (1.0 + 1e-3, 1.0 + 1e-6, 1.0 + 1e-9, 1.0 + 1e-12):
+            alpha = s - 1.0
+            assert abs(alpha * zeta(s) - 1.0) <= alpha
+
+    @pytest.mark.parametrize("s", [1.0, 0.5, -2.0, math.inf, math.nan])
+    def test_rejects_outside_domain(self, s):
+        with pytest.raises(ValueError, match="zeta"):
+            zeta(s)
 
 
 class TestMl:
