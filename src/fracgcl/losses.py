@@ -51,17 +51,18 @@ def _over(num, den: np.ndarray) -> np.ndarray:
 def _cosine_terms(a: np.ndarray, b: np.ndarray):
     """cosmean(a, b) and its gradients w.r.t. a and b from one set of row norms.
 
-    A row whose norm is zero in either matrix has reciprocal norm 0, so it
-    contributes similarity 0 and gets an exact zero gradient.
+    a and b are n x d, or stacks of pairs along leading axes.  A row whose
+    norm is zero in either matrix has reciprocal norm 0, so it contributes
+    similarity 0 and gets an exact zero gradient.
     """
-    n = a.shape[0]
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+    n = a.shape[-2]
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
     inv = _over(1.0, na * nb)
-    cos = np.einsum("ij,ij->i", a, b) * inv
-    da = -(b * inv[:, None] - _over(cos, na**2)[:, None] * a) / n
-    db = -(a * inv[:, None] - _over(cos, nb**2)[:, None] * b) / n
-    return float(1.0 - cos.mean()), da, db
+    cos = np.einsum("...ij,...ij->...i", a, b) * inv
+    da = -(b * inv[..., None] - _over(cos, na**2)[..., None] * a) / n
+    db = -(a * inv[..., None] - _over(cos, nb**2)[..., None] * b) / n
+    return 1.0 - cos.mean(axis=-1), da, db
 
 
 def cosmean(ya, yb) -> float:
@@ -70,52 +71,64 @@ def cosmean(ya, yb) -> float:
     A row whose norm is zero in either matrix contributes similarity 0,
     i.e. a full unit of loss.
     """
-    return _cosine_terms(*_paired(ya, yb))[0]
+    return float(_cosine_terms(*_paired(ya, yb))[0])
 
 
-def _principal_axis(y):
-    """Centered embedding, its Gram matrix, top eigenvalue and top eigenvector.
+def _principal_axes(views):
+    """Centered views, Gram matrices, top eigenvalues and top eigenvectors.
 
-    The eigenvector is that of `dominant_direction`; see there for the sign
-    rule and the two errors.
+    `views` is K x n x d, with one stacked `eigh`.  Each eigenvector is
+    `dominant_direction`'s (see there for the sign rule and the errors),
+    kept as the column `eigh` returns or its negation: BLAS sums a dot
+    product of strided columns in another order than of contiguous ones.
+    The first failing view's error carries its index as `view`.
     """
-    m = np.asarray(getattr(y, "matrix", y), dtype=float)
-    if m.ndim != 2:
-        raise ValueError("embedding must be a 2-D matrix")
-    centered = m - m.mean(axis=0, keepdims=True)
-    spread = np.linalg.norm(centered)
-    if spread <= 1e-13 * max(1.0, np.linalg.norm(m)):
-        raise DegenerateEmbeddingError(
-            "embedding rows are identical up to roundoff; no principal direction"
-        )
-    gram = centered.T @ centered
+    centered = views - views.mean(axis=1, keepdims=True)
+    gram = centered.transpose(0, 2, 1) @ centered
     eigvals, eigvecs = np.linalg.eigh(gram)
-    lam1 = float(eigvals[-1])
-    if len(eigvals) > 1 and lam1 - eigvals[-2] <= 1e-9 * lam1:
-        raise NoSpectralGapError(
-            "top two covariance eigenvalues coincide; direction is arbitrary"
+    lam1 = eigvals[:, -1]
+    scale = np.maximum(1.0, np.linalg.norm(views, axis=(1, 2)))
+    degenerate = np.linalg.norm(centered, axis=(1, 2)) <= 1e-13 * scale
+    runner_up = eigvals[:, -2] if eigvals.shape[1] > 1 else -np.inf
+    failed = np.flatnonzero(degenerate | (lam1 - runner_up <= 1e-9 * lam1))
+    if failed.size:
+        i = int(failed[0])
+        exc = (
+            DegenerateEmbeddingError(
+                "embedding rows are identical up to roundoff; no principal direction"
+            )
+            if degenerate[i]
+            else NoSpectralGapError(
+                "top two covariance eigenvalues coincide; direction is arbitrary"
+            )
         )
-    v1 = eigvecs[:, -1]
-    peak = np.argmax(np.abs(v1))
-    if v1[peak] < 0.0:
-        v1 = -v1
-    return centered, gram, lam1, v1
+        exc.view = i
+        raise exc
+    tops = eigvecs[..., -1]
+    peaks = np.argmax(np.abs(tops), axis=1)
+    return centered, gram, lam1, [-v if v[p] < 0.0 else v for v, p in zip(tops, peaks)]
 
 
-def _penalty_grad(centered, gram, mu1, v, v_other, sign):
-    """Gradient of sign * <v(Y), v_other> w.r.t. Y from `_principal_axis`'s state.
+def _penalty_grad(centered, gram, mu1, v, v_other, ip):
+    """Gradients of sign(ip) <v(Y), v_other> w.r.t. each view Y, 2 x K x n x d.
 
-    The top-eigenvector derivative is the pseudoinverse (mu1 I - G)^+
-    applied to the off-eigenvector part of v_other; the rank-one shift
-    makes the system nonsingular while pinning the solution orthogonal
-    to v.
+    The K views' `_principal_axes` state meets two other directions each
+    (2 x K x d) and their dot products with v (2 x K).  The top-eigenvector
+    derivative is the pseudoinverse (mu1 I - G)^+ applied to the
+    off-eigenvector part of v_other; the rank-one shift makes the system
+    nonsingular while pinning the solution orthogonal to v.
     """
-    d = gram.shape[0]
-    rhs = v_other - float(v_other @ v) * v
-    mat = mu1 * np.eye(d) - gram + mu1 * np.outer(v, v)
-    u = np.linalg.solve(mat, rhs)
-    gbar = sign * centered @ (np.outer(v, u) + np.outer(u, v))
-    return gbar - gbar.mean(axis=0, keepdims=True)
+    d = gram.shape[-1]
+    rhs = v_other - ip[..., None] * v
+    mu = mu1[:, None, None]
+    mat = mu * np.eye(d) - gram + mu * (v[:, :, None] * v[:, None, :])
+    u = np.linalg.solve(mat, rhs[..., None])[..., 0]
+    outer = v[..., :, None] * u[..., None, :] + u[..., :, None] * v[..., None, :]
+    # sign scales each product the same on either factor; on the d x d one
+    # it needs no 2 x K x n x d temporary
+    gbar = centered @ (np.sign(ip)[..., None, None] * outer)
+    gbar -= gbar.mean(axis=-2, keepdims=True)
+    return gbar
 
 
 def dominant_direction(y) -> np.ndarray:
@@ -127,7 +140,10 @@ def dominant_direction(y) -> np.ndarray:
     NoSpectralGapError when the top two eigenvalues agree to a relative
     1e-9, so that the direction is arbitrary.
     """
-    return _principal_axis(y)[3]
+    m = np.asarray(getattr(y, "matrix", y), dtype=float)
+    if m.ndim != 2:
+        raise ValueError("embedding must be a 2-D matrix")
+    return _principal_axes(m[None])[3][0]
 
 
 def regularized_cosmean(ya, yb, eta: float) -> float:
@@ -145,28 +161,42 @@ def regularized_cosmean(ya, yb, eta: float) -> float:
 
 
 def _objective(views, axes, eta: float):
-    """The view-cycle loss and its gradient w.r.t. every view.
+    """The view-cycle loss and its K x n x d gradient, in one pass.
 
-    Pair (i, i+1 mod K) adds cosmean and eta |<v_i, v_j>|, where `axes[i]`
-    is `_principal_axis(views[i])`; `axes` is None when eta is 0.  Views
-    are 2-D arrays of one shape.
+    `views` is K x n x d.  Pair (i, i+1 mod K) adds cosmean and
+    eta |<v_i, v_j>|, where `axes` is `_principal_axes(views)`, or None when
+    eta is 0: one `_cosine_terms` call for the K pairs, one stacked solve
+    for the 2K penalty gradients, and each view's terms added in the order
+    of the pair cycle.
     """
     k = len(views)
+    nxt, prev = (np.arange(k) + 1) % k, np.arange(k) - 1
+    values, da, db = _cosine_terms(views, views[nxt])
+    # indexed by view: its terms as pair i's first and pair i-1's second member
+    db = db[prev]
+    first, second = [da], [db]
+    ips = np.zeros(k)
+    if axes is not None:
+        centered, gram, mu1, v1 = axes
+        # on `_principal_axes`'s vectors, whose layout sets the sums' order
+        ips = np.array([float(v1[i] @ v1[j]) for i, j in enumerate(nxt)])
+        v = np.stack(v1)
+        others, other_ips = np.stack([v[nxt], v[prev]]), np.stack([ips, ips[prev]])
+        pen = _penalty_grad(centered, gram, mu1, v, others, other_ips)
+        pen *= eta
+        first.append(pen[0])
+        second.append(pen[1])
     loss = 0.0
-    grads = [np.zeros_like(y) for y in views]
-    for i in range(k):
-        j = (i + 1) % k
-        value, da, db = _cosine_terms(views[i], views[j])
+    for value, ip in zip(values.tolist(), ips.tolist()):
         loss += value
-        grads[i] += da
-        grads[j] += db
-        if axes is not None:
-            vi, vj = axes[i][3], axes[j][3]
-            ip = float(vi @ vj)
-            loss += eta * abs(ip)
-            sign = float(np.sign(ip))
-            grads[i] += eta * _penalty_grad(*axes[i], vj, sign)
-            grads[j] += eta * _penalty_grad(*axes[j], vi, sign)
+        loss += eta * abs(ip)
+    # the pair cycle's order: view j > 0 takes pair j-1's terms first, view 0
+    # takes pair K-1's last
+    grads = np.zeros_like(views)
+    for t in second + first:
+        grads[1:] += t[1:]
+    for t in first + second:
+        grads[0] += t[0]
     return loss, grads
 
 
@@ -178,9 +208,9 @@ def total_loss(views, eta: float) -> float:
     """
     if len(views) < 2:
         raise ValueError(f"need at least 2 views, got {len(views)}")
-    mats = [_paired(v, views[0])[0] for v in views]
-    axes = None if eta == 0.0 else [_principal_axis(m) for m in mats]
-    return float(_objective(mats, axes, eta)[0])
+    mats = np.stack([_paired(v, views[0])[0] for v in views])
+    axes = None if eta == 0.0 else _principal_axes(mats)
+    return _objective(mats, axes, eta)[0]
 
 
 def euclidean_loss(ya, yb) -> float:

@@ -2,9 +2,12 @@
 
 Plain gradient descent drives the per-view weights and fractional orders,
 chaining the objective's view gradients from `fracgcl.losses` through the
-activation, the projection and the diffusion filter.  After each round,
-orders within a log-scale threshold of each other are merged and the
-survivors retrained from fresh weights, until a round merges nothing.
+activation, the projection and the diffusion filter.  An epoch is one pass
+over the stacked K views: K x F x d weights, an order vector, one filter
+apply for all 2K spectral functions, and K x n x d views and gradients.
+After each round, orders within a log-scale threshold of each other are
+merged and the survivors retrained from fresh weights, until a round
+merges nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .losses import (
     DegenerateEmbeddingError,
     NoSpectralGapError,
     _objective,
-    _principal_axis,
+    _principal_axes,
 )
 from .solver import _diffusion_filter
 from .special import ml_spectrum
@@ -100,43 +103,41 @@ def clip_alpha(alpha: float, eps: float) -> float:
     return min(1.0, max(float(alpha), float(eps)))
 
 
-def _direction_states(outs, alpha_list):
-    """Principal-axis state of every view; a failure names the view."""
-    states = []
-    for i, (y, a) in enumerate(zip(outs, alpha_list)):
-        try:
-            states.append(_principal_axis(y))
-        except (DegenerateEmbeddingError, NoSpectralGapError) as exc:
-            raise FloatingPointError(f"view {i} (alpha={a:.6g}): {exc}") from exc
-    return states
+def _loss_and_grads(filt, weights, alphas, horizons, eta, activation):
+    """Loss, K x F x d weight gradients and K order gradients in one pass.
 
-
-def _loss_and_grads(filt, w_list, alpha_list, horizons, eta, activation):
-    """Loss and analytic gradients; FloatingPointError if either is non-finite.
-
-    Each view is act(P W) with P = f(L) X from the features-side filter, so
-    with G = dL/dY * act'(P W) the gradients are P^T G and <G, (dP/dalpha) W>.
+    One apply of n_nodes x 2K samples (K kernels, then K order derivatives)
+    gives the K x n x F stacks P = f(L) X and dP/dalpha.  The views are
+    act(P W), so with G = dL/dY * act'(P W) the gradients are P^T G and
+    <G, (dP/dalpha) W>.  FloatingPointError names a view without a
+    principal direction, or reports a non-finite loss or gradient.
     """
     act, act_grad = _activation(activation)
-    diffused = [
-        filt.apply(np.stack(ml_spectrum(a, filt.nodes, h), axis=1))
-        for a, h in zip(alpha_list, horizons)
-    ]
-    pre = [p @ w for (p, _), w in zip(diffused, w_list)]
-    outs = [act(z) for z in pre]
-    states = None if eta == 0.0 else _direction_states(outs, alpha_list)
-    loss, d_out = _objective(outs, states, eta)
+    k = len(alphas)
+    samples = np.empty((len(filt.nodes), 2 * k))
+    for i, (a, h) in enumerate(zip(alphas, horizons)):
+        samples[:, i], samples[:, k + i] = ml_spectrum(a, filt.nodes, h)
+    diffused = filt.apply(samples)
+    p, dp = diffused[:k], diffused[k:]
+    w = np.asarray(weights)
+    pre = p @ w
+    outs = act(pre)
+    axes = None
+    if eta != 0.0:
+        try:
+            axes = _principal_axes(outs)
+        except (DegenerateEmbeddingError, NoSpectralGapError) as exc:
+            named = f"view {exc.view} (alpha={alphas[exc.view]:.6g})"
+            raise FloatingPointError(f"{named}: {exc}") from exc
+    loss, d_out = _objective(outs, axes, eta)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}")
-    grads_w = []
-    grads_a = []
-    for (p, dp), w, z, g_out in zip(diffused, w_list, pre, d_out):
-        g = g_out * act_grad(z)
-        grads_w.append(p.T @ g)
-        grads_a.append(float(np.sum((dp.T @ g) * w)))
-    if not all(np.all(np.isfinite(g)) for g in (grads_a, *grads_w)):
+    g = d_out * act_grad(pre)
+    grads_w = p.transpose(0, 2, 1) @ g
+    grads_a = ((dp.transpose(0, 2, 1) @ g) * w).sum(axis=(1, 2))
+    if not (np.all(np.isfinite(grads_w)) and np.all(np.isfinite(grads_a))):
         raise FloatingPointError("non-finite gradient")
-    return loss, BankGradients(w=tuple(grads_w), alpha=tuple(grads_a))
+    return loss, (grads_w, grads_a)
 
 
 def grad_loss(
@@ -154,15 +155,15 @@ def grad_loss(
     Raises FloatingPointError if the loss or any gradient is non-finite.
     """
     horizons = [p.horizon for p in bank.encoders]
-    _, grads = _loss_and_grads(
+    _, (grads_w, grads_a) = _loss_and_grads(
         _diffusion_filter(operator, features, max(horizons)),
         [p.weights for p in bank.encoders],
-        [p.alpha for p in bank.encoders],
+        bank.alphas,
         horizons,
         eta,
         activation,
     )
-    return grads
+    return BankGradients(w=tuple(grads_w), alpha=tuple(grads_a.tolist()))
 
 
 def _merge_with_events(alphas, delta, rng):
@@ -244,30 +245,26 @@ def avla(
     traces = []
     events = []
     for round_idx in range(_MAX_ROUNDS):
-        w_list = [
-            init_encoder_params(d_in, width, a, horizon, init_rng).weights
-            for a in alphas
-        ]
-        a_list = list(alphas)
-        horizons = [horizon] * len(a_list)
-        trace = [list(a_list)]
+        draws = [init_encoder_params(d_in, width, a, horizon, init_rng) for a in alphas]
+        w = np.stack([p.weights for p in draws])
+        a_vec = np.array(alphas)
+        horizons = [horizon] * len(alphas)
+        trace = [list(alphas)]
         for epoch in range(cfg.epochs_n):
             try:
-                loss, grads = _loss_and_grads(
-                    filt, w_list, a_list, horizons, cfg.eta, activation
+                loss, (grads_w, grads_a) = _loss_and_grads(
+                    filt, w, a_vec, horizons, cfg.eta, activation
                 )
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"training round {round_idx}, epoch {epoch}: {exc}"
                 ) from exc
-            w_list = [w - cfg.lr_w * gw for w, gw in zip(w_list, grads.w)]
-            a_list = [
-                clip_alpha(a - cfg.lr_alpha * ga, cfg.clip_eps)
-                for a, ga in zip(a_list, grads.alpha)
-            ]
+            w = w - cfg.lr_w * grads_w
+            a_vec = np.clip(a_vec - cfg.lr_alpha * grads_a, cfg.clip_eps, 1.0)
             losses.append(float(loss))
-            trace.append(list(a_list))
+            trace.append(a_vec.tolist())
         traces.append(trace)
+        a_list = a_vec.tolist()
         survivors, round_events = _merge_with_events(
             a_list, cfg.merge_delta, merge_rng
         )
@@ -282,9 +279,7 @@ def avla(
             continue
         order = np.argsort(a_list, kind="stable")
         bank = EncoderBank(
-            encoders=tuple(
-                EncoderParams(w_list[i], a_list[i], horizon) for i in order
-            )
+            encoders=tuple(EncoderParams(w[i], a_list[i], horizon) for i in order)
         )
         final = [a_list[i] for i in order]
         report = TrainReport(

@@ -9,7 +9,8 @@ inversion of the transform's order derivative where the series converges
 too slowly.  The graph oracles are plain Python loops over lists, except the
 Laplacian oracle, which is the dense matrix formula over a full adjacency.
 The gradient oracle differences the value-only forward pass and loss in
-float64.
+float64.  The pair-loop objective is the view-cycle loss stated one view
+pair at a time, as the trainer computed it before its views were stacked.
 """
 
 from __future__ import annotations
@@ -219,3 +220,64 @@ def fd_grad(basis, features, bank, eta, activation, step=1e-5, coords=None):
         down = loss_with_view(idx, bumped, encoders[idx].alpha)
         grads_w[idx][i, j] = (up - down) / (2 * step)
     return BankGradients(w=tuple(grads_w), alpha=tuple(grads_a))
+
+
+def _loop_over(num, den):
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+
+
+def _loop_cosine_terms(a, b):
+    n = a.shape[0]
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    inv = _loop_over(1.0, na * nb)
+    cos = np.einsum("ij,ij->i", a, b) * inv
+    da = -(b * inv[:, None] - _loop_over(cos, na**2)[:, None] * a) / n
+    db = -(a * inv[:, None] - _loop_over(cos, nb**2)[:, None] * b) / n
+    return float(1.0 - cos.mean()), da, db
+
+
+def loop_principal_axis(m):
+    """Centered view, Gram matrix, top eigenvalue and sign-fixed top eigenvector."""
+    centered = m - m.mean(axis=0, keepdims=True)
+    gram = centered.T @ centered
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    v1 = eigvecs[:, -1]
+    peak = np.argmax(np.abs(v1))
+    if v1[peak] < 0.0:
+        v1 = -v1
+    return centered, gram, float(eigvals[-1]), v1
+
+
+def _loop_penalty_grad(centered, gram, mu1, v, v_other, sign):
+    d = gram.shape[0]
+    rhs = v_other - float(v_other @ v) * v
+    mat = mu1 * np.eye(d) - gram + mu1 * np.outer(v, v)
+    u = np.linalg.solve(mat, rhs)
+    gbar = sign * centered @ (np.outer(v, u) + np.outer(u, v))
+    return gbar - gbar.mean(axis=0, keepdims=True)
+
+
+def loop_objective(views, axes, eta):
+    """The view-cycle loss and per-view gradients, one pair at a time.
+
+    `axes[i]` is `loop_principal_axis(views[i])`, or `axes` is None when
+    eta is 0.
+    """
+    k = len(views)
+    loss = 0.0
+    grads = [np.zeros_like(y) for y in views]
+    for i in range(k):
+        j = (i + 1) % k
+        value, da, db = _loop_cosine_terms(views[i], views[j])
+        loss += value
+        grads[i] += da
+        grads[j] += db
+        if axes is not None:
+            vi, vj = axes[i][3], axes[j][3]
+            ip = float(vi @ vj)
+            loss += eta * abs(ip)
+            sign = float(np.sign(ip))
+            grads[i] += eta * _loop_penalty_grad(*axes[i], vj, sign)
+            grads[j] += eta * _loop_penalty_grad(*axes[j], vi, sign)
+    return loss, grads

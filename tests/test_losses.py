@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from oracles import loop_objective, loop_principal_axis
 
 from fracgcl.losses import (
     DegenerateEmbeddingError,
     NoSpectralGapError,
     _cosine_terms,
     _objective,
-    _principal_axis,
+    _principal_axes,
     barlow_twins,
     cca_loss,
     cosmean,
@@ -190,12 +191,11 @@ class TestObjective:
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     def test_view_gradients_match_central_differences(self, k, eta):
         rng = np.random.default_rng(20 + k)
-        views = [rng.normal(size=(6, 3)) for _ in range(k)]
+        views = rng.normal(size=(k, 6, 3))
         # the zero row is shared, so every pair's cosine term stays flat
         # along it and the difference sees only the penalty there
-        for v in views:
-            v[2] = 0.0
-        axes = None if eta == 0.0 else [_principal_axis(v) for v in views]
+        views[:, 2] = 0.0
+        axes = None if eta == 0.0 else _principal_axes(views)
         loss, grads = _objective(views, axes, eta)
         assert loss == total_loss(views, eta)
         step = 1e-5
@@ -210,6 +210,27 @@ class TestObjective:
                 assert abs(grads[i][r, c] - fd) < 1e-7
         if eta == 0.0:
             assert all(np.all(g[2] == 0.0) for g in grads)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_pass_is_bit_equal_to_pair_loop(self, k, eta, seed):
+        # ReLU views: rows that die in every view, rows dead in one view
+        rng = np.random.default_rng([seed, k])
+        views = np.maximum(rng.normal(size=(k, 12, 4)), 0.0)
+        views[:, 3] = 0.0
+        views[1, 7] = 0.0
+        assert np.any(np.all(views[0] == 0.0, axis=1))
+        axes = None if eta == 0.0 else _principal_axes(views)
+        ref_axes = None if eta == 0.0 else [loop_principal_axis(v) for v in views]
+        loss, grads = _objective(views, axes, eta)
+        ref_loss, ref_grads = loop_objective(list(views), ref_axes, eta)
+        assert loss == ref_loss
+        assert grads.shape == views.shape
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+            # the bytes also tell -0.0 from 0.0
+            assert g.tobytes() == ref.tobytes()
 
     def test_zero_row_in_one_view_gets_zero_gradient(self):
         rng = np.random.default_rng(24)

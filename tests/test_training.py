@@ -211,6 +211,38 @@ class TestGradLoss:
         gf = fd_grad(op, x, bank, eta, activation)
         assert _max_tensor_gap(ga, gf) < 1e-7
 
+    # a batched path that assumed one horizon for the bank would fail here
+    @pytest.mark.parametrize("operator", ["basis", "laplacian"])
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_mixed_horizons_match_finite_difference(self, operator, eta):
+        lap = normalized_laplacian(random_connected_graph(12, 0.35, seed=6))
+        op = eigendecompose(lap) if operator == "basis" else lap
+        rng = np.random.default_rng(106)
+        x = rng.normal(size=(12, 4))
+        bank = EncoderBank(
+            encoders=tuple(
+                EncoderParams(rng.uniform(-1, 1, (4, 3)) / 2.0, a, h)
+                for a, h in zip([0.3, 0.6, 0.9], [1.0, 2.0, 3.5])
+            )
+        )
+        for activation in ("relu", "identity"):
+            ga = grad_loss(op, x, bank, eta, activation)
+            gf = fd_grad(op, x, bank, eta, activation)
+            assert _max_tensor_gap(ga, gf) < 1e-7
+
+    def test_degenerate_view_is_named_with_its_order(self, cyc10_basis):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(10, 3))
+        weights = [rng.uniform(-1, 1, (3, 2)) for _ in range(4)]
+        weights[2] = np.zeros((3, 2))
+        bank = EncoderBank(
+            encoders=tuple(
+                EncoderParams(w, a, 2.0) for w, a in zip(weights, [0.2, 0.4, 0.6, 0.8])
+            )
+        )
+        with pytest.raises(FloatingPointError, match=r"view 2 \(alpha=0\.6\): "):
+            grad_loss(cyc10_basis, x, bank, eta=0.5)
+
 
 class TestLossAndGrads:
     @pytest.mark.parametrize("operator", ["basis", "laplacian"])
