@@ -393,10 +393,16 @@ class WalkConfig:
             raise ValueError(
                 "alpha must lie in (0, 1); use ctmc_walk_sim for the limit case"
             )
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
         if self.delta_tau <= 0:
             raise ValueError("delta_tau must be positive")
+        # up to 2^20 slots the wait guide stays under 32 MB, and float32 holds a wait
+        if not self.t_end / self.delta_tau < 2**20:
+            raise ValueError(
+                f"t_end / delta_tau = {self.t_end / self.delta_tau:.4g} means a wait "
+                "ladder above 2^20 slots; raise delta_tau or lower t_end"
+            )
         if self.n_walkers < 1:
             raise ValueError("n_walkers must be at least 1")
         if not 0.0 <= self.move_probability() <= 1.0:
@@ -417,6 +423,25 @@ class WalkConfig:
         )
 
 
+def _neighbor_rows(g: Graph):
+    """Pick table and key span, each entry's target node, and row pointers.
+
+    Row v of the adjacency's nonzeros holds v plus its cumulative weights over
+    v's degree, so v + u, u in [0, 1), rounds into [v, v + 1] < 2^bit_length(n).
+    """
+    off = g.src != g.dst
+    src, dst = np.concatenate((g.src, g.dst[off])), np.concatenate((g.dst, g.src[off]))
+    order = np.argsort(src * g.n_nodes + dst)
+    src, dst = src[order], dst[order]
+    weight = np.concatenate((g.weight, g.weight[off]))[order]
+    indptr = np.searchsorted(src, np.arange(g.n_nodes + 1))
+    cum = np.cumsum(weight)
+    cum -= np.concatenate(([0.0], cum))[indptr[src]]
+    # cum's rounding can end a row above a next row that starts with a tiny weight
+    table = np.maximum.accumulate(src + cum / g.degrees()[src])
+    return table, float(1 << int(g.n_nodes).bit_length()), dst, indptr
+
+
 def _lockstep_walk(
     g: Graph,
     start: int,
@@ -428,68 +453,65 @@ def _lockstep_walk(
 ) -> np.ndarray:
     """Occupancy at t_end of walkers that all step together from one stream.
 
-    ``waits(rng, k)`` draws k waiting times; an infinite wait parks a walker
-    for good.  After every wait that ends by t_end a walker moves, with
-    probability move_p, to a neighbor picked in proportion to edge weight.
-    Memory is O(n_walkers): each round draws only for the walkers still live.
+    ``waits(rng, out)`` draws len(out) waits through the buffer out; an
+    infinite wait parks a walker for good.  After every wait that ends by
+    t_end a walker moves, with probability move_p, to a neighbor that the
+    guided `_neighbor_rows` table picks by weight.  Memory is O(n_walkers).
     """
     if not 0 <= start < g.n_nodes:
         raise ValueError(f"start node {start} out of range")
-    # both directions of every edge in row-major order: the adjacency's nonzeros
-    off = g.src != g.dst
-    src, dst = np.concatenate((g.src, g.dst[off])), np.concatenate((g.dst, g.src[off]))
-    order = np.argsort(src * g.n_nodes + dst)
-    src, dst = src[order], dst[order]
-    weight = np.concatenate((g.weight, g.weight[off]))[order]
-    indptr = np.searchsorted(src, np.arange(g.n_nodes + 1))
+    table, span, dst, indptr = _neighbor_rows(g)
     occupancy = np.zeros(g.n_nodes)
     # the adjacency is symmetric, so only an isolated start can hold a
     # walker on a node without neighbors
     if t_end == 0.0 or indptr[start] == indptr[start + 1]:
         occupancy[start] = 1.0
         return occupancy
-    # one sorted table: node index plus that node's cumulative-weight CDF,
-    # so node + u with u in [0, 1) falls inside the node's own row
-    cum = np.cumsum(weight)
-    cum -= np.concatenate(([0.0], cum))[indptr[src]]
-    table = src + cum / g.degrees()[src]
+    pick_of = _bucket_search(table, span)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     node = np.full(n_walkers, start)
     live = np.arange(n_walkers)
     t = np.zeros(n_walkers)
+    u = np.empty(n_walkers)
     while live.size:
-        t = t + waits(rng, live.size)
+        t += waits(rng, u[: live.size])
         keep = t <= t_end
         live, t = live[keep], t[keep]
-        movers = live[rng.random(live.size) < move_p]
+        movers = live[rng.random(out=u[: live.size]) < move_p]
         v = node[movers]
-        pick = np.searchsorted(table, v + rng.random(v.size), side="right")
+        pick = pick_of(v + rng.random(out=u[: v.size]))
         # float rounding at a row edge can land in the adjacent row
         node[movers] = dst[np.clip(pick, indptr[v], indptr[v + 1] - 1)]
     return np.bincount(node, minlength=g.n_nodes) / n_walkers
 
 
-def _bucket_search(table: np.ndarray):
-    """``u -> np.searchsorted(table, u, side="right")`` for keys u in [0, 1).
+def _bucket_search(table: np.ndarray, span: float = 1.0, values=None):
+    """``u -> values[np.searchsorted(table, u, side="right")]``, u in [0, span).
 
-    A guide table over G = 2^k equal buckets of [0, 1), G between 4 and 8
-    times len(table) (Chen & Asau 1974; Devroye 1986, sec. III.2.4).  G is
-    a power of two, so b = floor(u G) and the edges b / G are exact, and
-    every key of bucket b has a slot between the slots of its two edges.
-    Where those agree the bucket holds no table entry and its slot is
-    final; only keys in the other buckets take the binary search.
+    values: one nonnegative value per slot, len(table) + 1, by default the
+    int32 slot.  A guide (Chen & Asau 1974; Devroye 1986, sec. III.2.4), the
+    returned function's ``direct``, holds the value of each of G equal buckets
+    of [0, span), G = max(2^16, 4 to 8 times len(table)).  With span and G
+    powers of two, u's bucket floor(u G / span) is exact, and a sorted entry
+    x is at or below bucket b's lower edge exactly when ceil(x G / span) <= b:
+    the ceilings run-length encode the guide.  Buckets with an entry strictly
+    inside hold -1; only their keys take the binary search.
     """
-    n_buckets = 1 << (len(table).bit_length() + 2)
-    edges = np.searchsorted(table, np.arange(n_buckets + 1) / n_buckets, side="right")
-    # -1 marks a bucket with a table entry inside
-    direct = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    values = np.arange(len(table) + 1, dtype=np.int32) if values is None else values
+    n_buckets = max(1 << 16, 1 << (len(table).bit_length() + 2))
+    scale = n_buckets / span
+    cells = np.clip(table * scale, 0, n_buckets)
+    up = np.ceil(cells).astype(np.intp)
+    direct = np.repeat(values, np.diff(up, prepend=0, append=n_buckets))
+    direct[up[cells != up] - 1] = -1
 
     def search(u: np.ndarray) -> np.ndarray:
-        slots = direct[(u * n_buckets).astype(np.intp)]
-        mixed = np.flatnonzero(slots < 0)
-        slots[mixed] = np.searchsorted(table, u[mixed], side="right")
-        return slots
+        found = direct[(u * scale).astype(np.intp)]
+        mixed = np.flatnonzero(found < 0)
+        found[mixed] = values[np.searchsorted(table, u[mixed], side="right")]
+        return found
 
+    search.direct = direct
     return search
 
 
@@ -505,20 +527,19 @@ def random_walk_sim(g: Graph, cfg: WalkConfig, start: int) -> np.ndarray:
     deterministic per seed, and memory is O(n_walkers).
 
     A wait is the slot of a uniform u in the wait CDF, the count of CDF
-    entries <= u.  `_bucket_search` finds it through a bucket table of
-    O(ladder) memory, built once per call; its slots equal a binary search
-    over the CDF for every key, so the occupancies are those of
+    entries <= u.  `_bucket_search` maps u to the wait itself through a
+    guide of O(ladder) memory, built once per call; it equals a binary
+    search over the CDF for every key, so the occupancies are those of
     np.searchsorted draw for draw.
     """
     n_cap = int(np.floor(cfg.t_end / cfg.delta_tau)) + 1
     ladder = np.arange(1, n_cap + 1, dtype=float)
     wait_cdf = np.cumsum(ladder ** -(1.0 + cfg.alpha) * cfg.tail_norm())
-    slot_of = _bucket_search(wait_cdf)
     # slot n_cap is a wait past the ladder cap, which exceeds the whole horizon
-    wait_of = np.append(ladder, np.inf)
+    wait_of = _bucket_search(wait_cdf, values=np.append(ladder, np.inf).astype("f4"))
 
-    def waits(rng, k):
-        return wait_of[slot_of(rng.random(k))]
+    def waits(rng, out):
+        return wait_of(rng.random(out=out))
 
     # time counted in whole delta_tau steps, so the sums are exact integers
     return _lockstep_walk(
@@ -537,12 +558,12 @@ def ctmc_walk_sim(
     seeded by seed, so the result is deterministic per seed, and memory is
     O(n_walkers).
     """
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0 <= t_end < np.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     if n_walkers < 1:
         raise ValueError("n_walkers must be at least 1")
     return _lockstep_walk(
-        g, start, n_walkers, seed, t_end, lambda rng, k: rng.exponential(size=k), 1.0
+        g, start, n_walkers, seed, t_end, lambda r, o: r.standard_exponential(out=o), 1
     )
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "TrainReport",
     "BankGradients",
     "grad_loss",
-    "clip_alpha",
     "merge_alphas",
     "avla",
     "tune_beta",
@@ -96,11 +95,6 @@ class BankGradients:
 
     w: tuple
     alpha: tuple[float, ...]
-
-
-def clip_alpha(alpha: float, eps: float) -> float:
-    """Clamp an order into [eps, 1]."""
-    return min(1.0, max(float(alpha), float(eps)))
 
 
 def _loss_and_grads(filt, weights, alphas, horizons, eta, activation):

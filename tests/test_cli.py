@@ -564,6 +564,14 @@ class TestWalkAndStability:
         assert main([*command, *flags, "--out", str(tmp_path / "o")]) == 1
         assert f"{key} is required for topology" in capsys.readouterr().err
 
+    def test_oversized_wait_ladder_exits_1(self, tmp_path, capsys):
+        # rejected before the 10^9-slot ladder is allocated
+        sets = ["walk.topology=cycle", "walk.n=6", "walk.delta_tau=1e-9"]
+        flags = [arg for item in sets for arg in ("--set", item)]
+        assert main(["walk", *flags, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "delta_tau" in err and "t_end" in err
+
 
 class TestIntegralKeys:
     @pytest.mark.parametrize(

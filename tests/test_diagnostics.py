@@ -24,6 +24,7 @@ from fracgcl.diagnostics import (
     WalkConfig,
     WeightPerturbation,
     _bucket_search,
+    _neighbor_rows,
     check_theorem_sgi,
     ctmc_walk_sim,
     effective_rank,
@@ -425,6 +426,7 @@ class TestWalkConfig:
         "kwargs",
         [
             {"t_end": -1.0},
+            {"t_end": float("nan")},
             {"delta_tau": 0.0},
             {"n_walkers": 0},
             {"alpha": 0.0},
@@ -435,6 +437,20 @@ class TestWalkConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             WalkConfig(**base)
+
+    # each case raises before any ladder is allocated
+    @pytest.mark.parametrize(
+        "t_end, delta_tau",
+        [(1.0, 1e-9), (1e7, 0.01), (1.0, 1e-320), (2**20 * 0.25, 0.25)],
+        ids=["1e9-slots", "long-horizon", "ratio-overflows", "one-past-cap"],
+    )
+    def test_oversized_ladder_rejected(self, t_end, delta_tau):
+        with pytest.raises(ValueError, match="ladder") as exc:
+            WalkConfig(alpha=0.5, t_end=t_end, delta_tau=delta_tau, n_walkers=10, seed=0)
+        assert "delta_tau" in str(exc.value) and "t_end" in str(exc.value)
+
+    def test_ladder_at_cap_accepted(self):
+        WalkConfig(alpha=0.5, t_end=(2**20 - 1) * 0.25, delta_tau=0.25, n_walkers=10, seed=0)
 
     @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3, 0.5, 0.75, 0.99])
     def test_tail_norm_matches_scipy(self, alpha):
@@ -569,6 +585,57 @@ class TestBucketSearch:
         keys = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
         assert _bucket_search(np.zeros(0))(keys).tolist() == [0, 0, 0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_neighbor_tables_equal_binary_search(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        node = st.integers(0, n - 1)
+        # dyadic weights put entries on bucket edges; self-loops give one-entry
+        # rows, and nodes no edge touches give empty ones
+        dyadic = st.sampled_from([2.0**k for k in range(-6, 7)])
+        weight = st.one_of(dyadic, st.floats(1e-3, 1e3))
+        edges = data.draw(st.lists(st.tuples(node, node, weight), max_size=60))
+        table, span = _neighbor_rows(build_graph(n, edges))[:2]
+        dups = table[: data.draw(st.integers(0, len(table)), label="dups")]
+        table = np.sort(np.concatenate((table, dups)))
+        v = data.draw(st.lists(node, max_size=40), label="v")
+        unit = st.floats(0.0, 1.0, exclude_max=True)
+        u = data.draw(st.lists(unit, min_size=len(v), max_size=len(v)), label="u")
+        keys = np.concatenate((
+            # the walk's keys, rounded as it forms them; they can round up to n
+            np.add(np.array(v, dtype=np.intp), u),
+            data.draw(st.lists(st.floats(0.0, span, exclude_max=True)), label="keys"),
+            np.arange(n + 1.0),
+            table,
+            np.nextafter(table, 0.0),
+            [0.0, np.nextafter(span, 0.0)],
+        ))
+        got = _bucket_search(table, span)(keys)
+        assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
+
+    def test_neighbor_table_stays_sorted(self):
+        # cum's rounding ends row 2 at 3 + 4e-16, above row 3's lone entry 3.0
+        g = build_graph(5, [(0, 1, 10.0), (0, 2, 0.1), (3, 4, 1e-300)])
+        assert np.all(np.diff(_neighbor_rows(g)[0]) >= 0)
+        assert ctmc_walk_sim(g, 1.0, 100, seed=0, start=0).sum() == 1.0
+
+    def test_walk_cycle_keys_skip_the_binary_search(self, monkeypatch):
+        guides = []
+        build = _bucket_search
+
+        def record(*args, **kwargs):
+            guides.append(build(*args, **kwargs))
+            return guides[-1]
+
+        monkeypatch.setattr(fracgcl.diagnostics, "_bucket_search", record)
+        cfg = WalkConfig(alpha=0.5, t_end=1.0, delta_tau=0.005, n_walkers=100, seed=1)
+        random_walk_sim(cycle_graph(10), cfg, start=0)
+        waits, picks = guides
+        # a uniform key falls in each bucket alike; -1 sends it to the search
+        assert np.mean(waits.direct < 0) <= 0.005
+        # the cycle's entries v + 1/2 and v + 1 all sit on bucket edges
+        assert np.all(picks.direct >= 0)
+
 
 class TestCtmcWalk:
     def test_two_node_symmetric(self):
@@ -589,6 +656,12 @@ class TestCtmcWalk:
         with pytest.raises(ValueError):
             ctmc_walk_sim(cycle_graph(3), -1.0, 10, seed=0, start=0)
 
+    # an infinite horizon never retires a walker; NaN retires all at once
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan])
+    def test_unbounded_horizon_rejected(self, t_end):
+        with pytest.raises(ValueError, match="finite"):
+            ctmc_walk_sim(cycle_graph(3), t_end, 10, seed=0, start=0)
+
     def test_no_walkers_rejected(self):
         with pytest.raises(ValueError, match="n_walkers"):
             ctmc_walk_sim(cycle_graph(3), 1.0, 0, seed=0, start=0)
@@ -599,6 +672,34 @@ class TestCtmcWalk:
             ctmc_walk_sim(g, 1.0, 300, seed=9, start=0),
             ctmc_walk_sim(g, 1.0, 300, seed=9, start=0),
         )
+
+    # recorded with one np.searchsorted over the neighbor table per round and
+    # rng.exponential draws; the guide and the buffered draws must match them
+    @pytest.mark.parametrize(
+        "graph, t_end, n_walkers, seed, digest",
+        [
+            # the benchmark's walk-cycle setup
+            (
+                "cycle",
+                1.0,
+                100_000,
+                1,
+                "56e70b2565ada19bd7f83e1754f8118ee473b15ba1b0fbf65ce33874993951a7",
+            ),
+            (
+                "irregular",
+                2.0,
+                20_000,
+                3,
+                "6e4e4da0e6526081f40875f4a22dea7a7aefc56dd4d77ded3586402bccf5ca68",
+            ),
+        ],
+        ids=["walk-cycle", "irregular"],
+    )
+    def test_occupancies_pinned(self, graph, t_end, n_walkers, seed, digest):
+        g = cycle_graph(10) if graph == "cycle" else irregular_graph()
+        occ = ctmc_walk_sim(g, t_end, n_walkers, seed=seed, start=0)
+        assert hashlib.sha256(occ.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_weighted_irregular_graph_matches_exponential(self, seed):

@@ -23,7 +23,6 @@ from fracgcl.solver import _diffusion_filter
 from fracgcl.training import (
     TrainConfig,
     avla,
-    clip_alpha,
     grad_loss,
     merge_alphas,
     tune_beta,
@@ -57,17 +56,6 @@ class TestTrainConfig:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
-
-
-class TestClipAlpha:
-    def test_above_one_clamps_to_one(self):
-        assert clip_alpha(1.7, 1e-4) == 1.0
-
-    def test_below_floor_clamps_to_floor(self):
-        assert clip_alpha(-0.3, 1e-4) == 1e-4
-
-    def test_in_range_untouched(self):
-        assert clip_alpha(0.5, 1e-4) == 0.5
 
 
 class TestMergeAlphas:
