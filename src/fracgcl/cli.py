@@ -1,12 +1,11 @@
 """Command-line front end.
 
-One binary, eight subcommands::
+One binary, seven subcommands::
 
     fracgcl synth      --out DIR              write a synthetic dataset
     fracgcl train      --config CFG --out DIR fit the encoder bank, save it
     fracgcl embed      --config CFG --out DIR embed a dataset with a saved bank
     fracgcl probe      --config CFG --out DIR linear-probe accuracies as JSON
-    fracgcl avla-trace --config CFG --out DIR merge events and order traces
     fracgcl diagnose   --which W   --out DIR  rc | pca | fourier | theorem
     fracgcl walk       --config CFG --out DIR walker occupancy vs closed form
     fracgcl stability  --config CFG --out DIR perturbation growth vs bound
@@ -18,10 +17,10 @@ The training and probe defaults are the field defaults of ``TrainConfig``
 and ``ProbeConfig``.  Every run writes ``manifest.json`` with the sha256 of
 the merged configuration minus ``output_dir`` and ``threads``, the seed,
 library versions, wall time, and whether a ``--threads`` cap took effect.
-``train``, ``avla-trace`` and ``embed`` diffuse through the Chebyshev filter
-of the normalized Laplacian, with no eigendecomposition, and add the
-filter's ``chebyshev_degree``.  Sizes, counts and indices must be integral
-(``6.0`` is 6; ``6.9`` and ``true`` are rejected, naming the key).
+``train`` and ``embed`` diffuse through the Krylov filter of the normalized
+Laplacian, with no eigendecomposition; ``train`` writes the losses, order
+traces and merges to ``report.json``.  Sizes, counts and indices must be
+integral (``6.0`` is 6; ``6.9`` and ``true`` are rejected, naming the key).
 All files are written atomically and only inside the output directory.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
@@ -62,7 +61,7 @@ from .encoder import (
     combine_views,
 )
 from .graphs import eigendecompose, normalized_laplacian
-from .solver import _chebyshev_degree, solve_linear_spectral
+from .solver import solve_linear_spectral
 from .training import TrainConfig, avla
 
 _VERSION = "0.1.0"
@@ -142,38 +141,30 @@ _DEFAULTS = {
 
 _NON_SEMANTIC = ("output_dir", "threads")
 
-# counts, sizes and indices: integral, or None where the default is None
-_INTEGER_KEYS = (
-    "seed",
-    "threads",
-    "synth.n",
-    "synth.n_blocks",
-    "synth.feature_dim",
-    "train.k_init",
-    "train.epochs_n",
-    "train.d_hid",
-    "probe.epochs",
-    "diagnose.skip_count",
-    "diagnose.signal_column",
-    "diagnose.n",
-    "diagnose.rows",
-    "diagnose.cols",
-    "walk.n_walkers",
-    "walk.start",
-    "walk.n",
-    "walk.rows",
-    "walk.cols",
-    "stability.direction_index",
-    "stability.n",
-    "stability.rows",
-    "stability.cols",
-)
-
 _TOPOLOGIES = {
     "cycle": (dio.synth_cycle, ("n",)),
     "path": (dio.synth_path, ("n",)),
     "grid": (dio.synth_grid, ("rows", "cols")),
 }
+
+
+def _integer_keys() -> tuple[str, ...]:
+    """Counts, sizes and indices: integral, or None where the default is None.
+
+    They are the keys whose default is an int (not a bool), the two counts
+    that default to None, and the size keys of each topology section.
+    """
+    sizes = {key for _, keys in _TOPOLOGIES.values() for key in keys}
+    found = ["threads", "train.d_hid"]
+    for name, value in _DEFAULTS.items():
+        section = value if isinstance(value, dict) else {"": value}
+        for key, default in section.items():
+            if type(default) is int or ("topology" in section and key in sizes):
+                found.append(f"{name}.{key}" if key else name)
+    return tuple(found)
+
+
+_INTEGER_KEYS = _integer_keys()
 
 
 def _check_unknown_keys(user: dict) -> None:
@@ -323,17 +314,13 @@ def cmd_synth(cfg: dict, args: argparse.Namespace) -> None:
     )
 
 
-def _train(cfg: dict):
-    """Train on the configured dataset; returns (bank, report, manifest entries).
-
-    Training diffuses through the Chebyshev filter of the Laplacian, so no
-    eigendecomposition is made; the manifest records the filter's degree.
-    """
+def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
     ds = _load_dataset(cfg)
     section = dict(cfg["train"])
     horizon = float(section.pop("horizon"))
     d_hid = section.pop("d_hid")
     activation = section.pop("activation")
+    # the Krylov filter of the Laplacian: no eigendecomposition
     _, _, bank, report = avla(
         normalized_laplacian(ds.graph),
         ds.features,
@@ -342,29 +329,16 @@ def _train(cfg: dict):
         d_hid=d_hid,
         activation=activation,
     )
-    return bank, report, {"chebyshev_degree": _chebyshev_degree(horizon)}
-
-
-def cmd_train(cfg: dict, args: argparse.Namespace) -> dict:
-    bank, report, entries = _train(cfg)
     dio.save_report(report, _out_path(cfg, "report.json"))
     meta = {
         "alphas": bank.alphas,
         "horizon": bank.encoders[0].horizon,
-        "activation": cfg["train"]["activation"],
+        "activation": activation,
         "weight_files": [f"w{k}.fdmv" for k in range(len(bank))],
     }
     dio.save_report(meta, _out_path(cfg, "bank.json"))
     for k, enc in enumerate(bank.encoders):
         dio.save_matrix(enc.weights, _out_path(cfg, f"w{k}.fdmv"))
-    return entries
-
-
-def cmd_avla_trace(cfg: dict, args: argparse.Namespace) -> dict:
-    _, report, entries = _train(cfg)
-    payload = {**report.to_dict(), "k_final": len(report.final_alphas)}
-    dio.save_report(payload, _out_path(cfg, "trace.json"))
-    return entries
 
 
 def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
@@ -385,7 +359,7 @@ def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
     return EncoderBank(encoders=tuple(encoders)), meta["activation"]
 
 
-def cmd_embed(cfg: dict, args: argparse.Namespace) -> dict:
+def cmd_embed(cfg: dict, args: argparse.Namespace) -> None:
     bank_dir = cfg["embed"]["bank_dir"] or cfg["output_dir"]
     bank, activation = _load_bank(bank_dir)
     ds = _load_dataset(cfg)
@@ -400,8 +374,6 @@ def cmd_embed(cfg: dict, args: argparse.Namespace) -> dict:
         dio.save_matrix(view.matrix, _out_path(cfg, f"view{k}.fdmv"))
     dio.save_matrix(combined, _out_path(cfg, "combined.fdmv"))
     dio.save_report({"beta": beta, "views": len(views)}, _out_path(cfg, "embed.json"))
-    horizon = max(enc.horizon for enc in bank.encoders)
-    return {"chebyshev_degree": _chebyshev_degree(horizon)}
 
 
 def _embedding_or_features(section: dict, ds: dio.Dataset):
@@ -529,7 +501,6 @@ _COMMANDS = {
     "train": cmd_train,
     "embed": cmd_embed,
     "probe": cmd_probe,
-    "avla-trace": cmd_avla_trace,
     "diagnose": cmd_diagnose,
     "walk": cmd_walk,
     "stability": cmd_stability,
@@ -565,9 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(
-    cfg: dict, command: str, started: float, capped: bool, entries: dict
-) -> None:
+def _write_manifest(cfg: dict, command: str, started: float, capped: bool) -> None:
     manifest = {
         "command": command,
         "config_hash": _config_hash(cfg),
@@ -579,7 +548,6 @@ def _write_manifest(
             "numpy": np.__version__,
         },
         "wall_time_s": round(time.perf_counter() - started, 6),
-        **entries,
     }
     dio.save_report(manifest, _out_path(cfg, "manifest.json"))
 
@@ -595,8 +563,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         capped = _apply_thread_cap(cfg["threads"])
         os.makedirs(cfg["output_dir"], exist_ok=True)
-        entries = _COMMANDS[args.command](cfg, args) or {}
-        _write_manifest(cfg, args.command, started, capped, entries)
+        _COMMANDS[args.command](cfg, args)
+        _write_manifest(cfg, args.command, started, capped)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

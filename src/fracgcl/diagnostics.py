@@ -435,10 +435,11 @@ def _neighbor_rows(g: Graph):
     src, dst = src[order], dst[order]
     weight = np.concatenate((g.weight, g.weight[off]))[order]
     indptr = np.searchsorted(src, np.arange(g.n_nodes + 1))
-    cum = np.cumsum(weight)
+    # each row's shares sum to 1, so a large row cannot swamp a later small one
+    cum = np.cumsum(weight / g.degrees()[src])
     cum -= np.concatenate(([0.0], cum))[indptr[src]]
     # cum's rounding can end a row above a next row that starts with a tiny weight
-    table = np.maximum.accumulate(src + cum / g.degrees()[src])
+    table = np.maximum.accumulate(src + cum)
     return table, float(1 << int(g.n_nodes).bit_length()), dst, indptr
 
 

@@ -7,25 +7,19 @@ Three routes:
   * the skip-connection composition (diffuse tau, add the input back,
     m times), whose per-frequency multiplier is a geometric sum.
 
-Every f(L) Y goes through one diffusion filter, built once per graph
-operator and state, which applies any f sampled at its nodes: e_alpha(., T)
-for the closed-form solve, the geometric sum for the skip composition, and
-for the encoder's views, f(L)(X W) = (f(L) X) W, the kernel and its order
-derivative.  The operator's type picks the nodes:
-
-* a `SpectralBasis`: the eigenvalues, and f(L) Y = U (f(lam) * U^T Y);
-* the dense normalized Laplacian itself: the m + 1 Chebyshev-Lobatto
-  points on [0, 2], and f(L) Y = sum_j c_j T_j(L - I) Y with c the
-  Chebyshev coefficients of the samples (Hammond, Vandergheynst &
-  Gribonval, ACHA 30, 2011; Defferrard et al., NeurIPS 2016).  The stack
-  T_j(L - I) Y takes m products with L and no eigendecomposition.
-
-The degree m follows from the horizon alone (`_chebyshev_degree`, whose
-constants record the measured accuracy), and both operators give the same
-results to a relative 1e-9 or better.  The cost grows with the horizon
-through m: 28 up to T = 10, 37 at T = 20, 78 at T = 100.  Horizons past
-about 7.5e4 would need m > 2048 and are rejected; the eigenbasis serves
-them.
+Every f(L) Y goes through one diffusion filter, f(L) Y = V (f(theta) * C),
+built once per graph operator and state for any f sampled at its nodes
+theta: e_alpha(., T), the skip sum, or for the encoder's views the kernel
+and its order derivative.  A `SpectralBasis` gives its eigenpairs and
+C = V^T Y.  A dense Laplacian gives the Ritz pairs of its block-Krylov space
+span{Y, L Y, ..., L^(m-1) Y} from block Lanczos (Golub & Underwood, 1977):
+with T = Q^T L Q = S diag(theta) S^T, V = Q S and C = S^T Q^T Y, so the
+filter is Q f(T) Q^T Y (Saad, SIAM J. Numer. Anal. 29, 1992), and its order
+derivative is exact because Q does not depend on the order.  It takes m
+products with L and no eigendecomposition.  On the benchmark pipeline's
+2000-node graph m is 15 at T = 20 and 12 to 15 over T in [0.01, 1e4]; at 15
+orders in [1e-4, 1] both filters agree within 7e-13 relative up to T = 100,
+and within 2.3e-13 of the largest value at every T.
 """
 
 from __future__ import annotations
@@ -67,72 +61,26 @@ class Trajectory:
         return self.states[-1]
 
 
-# The degree is the last one at which the order-1 kernel exp(-T lam), the
-# slowest to resolve at long horizons, has a Chebyshev coefficient above
-# _TAIL_TOL.  Short horizons need the floor: as alpha -> 0 the kernel tends
-# to 1/(1 + lam), whose coefficients fall below 1e-14 only at degree 25,
-# and orders between 0.1 and 0.5 at T = 5-10 need 28.  Measured on 801
-# points of [0, 2], 60 orders in [1e-4, 1] and T in [0.01, 300], the
-# interpolant is within 2.5e-13 of the kernel (which is itself accurate to
-# about 1e-13), and its order derivative within 1e-12 of the largest one.
-_TAIL_TOL = 1e-14
-_MIN_DEGREE = 28
-# The stack holds degree + 1 copies of the state, so the degree search
-# stops here, near T = 7.5e4; longer horizons go through the eigenbasis.
-_MAX_DEGREE = 2048
-# Relative slack on |T_j(L - I) Y| <= |Y| for the recurrence's rounding,
-# which grows as j^2: with Y along the null vector of a normalized Laplacian
-# the excess measured 1e-14 at degree 28 and 5e-11 at _MAX_DEGREE.
-_STACK_SLACK = 1e-6
-
-
-def _lobatto_points(m: int) -> np.ndarray:
-    """Chebyshev-Lobatto points lam_k = 1 + cos(k pi / m) on [0, 2], k = 0..m."""
-    return 1.0 + np.cos(np.pi * np.arange(m + 1) / m)
-
-
-def _chebyshev_coeffs(values: np.ndarray) -> np.ndarray:
-    """Coefficients c_j of sum_j c_j T_j(lam - 1) through values at the points.
-
-    values holds the samples at `_lobatto_points(m)` along axis 0; the
-    transform is a DCT-I, taken as the FFT of the even extension.
-    """
-    m = values.shape[0] - 1
-    extended = np.concatenate([values, values[-2:0:-1]])
-    coeffs = np.fft.rfft(extended, axis=0).real / m
-    coeffs[[0, m]] /= 2.0
-    return coeffs
-
-
-def _chebyshev_degree(horizon: float) -> int:
-    """Chebyshev degree that resolves every kernel e_alpha(., horizon) on [0, 2]."""
-    if not 0.0 < horizon < np.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    probe = 128
-    while probe <= 2 * _MAX_DEGREE:
-        coeffs = _chebyshev_coeffs(np.exp(-horizon * _lobatto_points(probe)))
-        last = int(np.flatnonzero(np.abs(coeffs) > _TAIL_TOL)[-1])
-        if last < probe // 2:
-            return max(_MIN_DEGREE, last)
-        probe *= 2
-    raise ValueError(
-        f"horizon {horizon} needs a Chebyshev degree of at least {_MAX_DEGREE}; "
-        "diffuse through the eigenbasis (eigendecompose) instead"
-    )
+# Stop once one more block changes f(L) Y by at most _SETTLE_TOL of its
+# norm, for the kernel and its order derivative at each probe order: the
+# smallest order is the slowest to settle at short horizons, order 1 at long.
+_SETTLE_TOL = 1e-13
+_PROBE_ORDERS = (1e-4, 0.5, 1.0)
+# share of a block's norm before reorthogonalisation below which a direction
+# lies in the basis to working precision and is dropped
+_DEFLATE_TOL = 1e-12
+# relative tolerance of the projection's symmetry and of a negative Ritz value
+_SPECTRUM_TOL = 1e-10
+_MAX_BLOCKS = 256
 
 
 @dataclass(frozen=True)
 class _DiffusionFilter:
-    """Spectral functions of one graph operator applied to one state Y.
-
-    With `eigenvectors` U the nodes are the eigenvalues and `stack` is
-    U^T Y; without, the nodes are Chebyshev-Lobatto points and `stack`
-    holds T_j(L - I) Y for j = 0..degree.
-    """
+    """f(L) Y = vectors (f(nodes) * coords) for one operator L and state Y."""
 
     nodes: np.ndarray
-    stack: np.ndarray
-    eigenvectors: np.ndarray | None = None
+    coords: np.ndarray
+    vectors: np.ndarray
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """f(L) Y for a function f sampled at `nodes`.
@@ -140,19 +88,70 @@ class _DiffusionFilter:
         One sample per node gives f(L) Y; one column per function gives the
         results stacked along a new leading axis.
         """
-        if self.eigenvectors is not None:
-            return self.eigenvectors @ (samples.T[..., None] * self.stack)
-        return np.tensordot(_chebyshev_coeffs(samples).T, self.stack, axes=1)
+        return self.vectors @ (samples.T[..., None] * self.coords)
+
+
+def _orthonormal(block: np.ndarray, scale: float):
+    """Orthonormal Q and coordinates B with block = Q B, without the singular
+    directions at or below _DEFLATE_TOL * scale (a zero or repeated column)."""
+    u, s, vt = np.linalg.svd(block, full_matrices=False)
+    keep = s > _DEFLATE_TOL * scale
+    return u[:, keep], s[keep, None] * vt[keep]
+
+
+def _krylov_filter(lap: np.ndarray, y: np.ndarray, horizon: float) -> _DiffusionFilter:
+    """Ritz pairs of L on the block-Krylov space of Y (see the module docstring).
+
+    Each block is reorthogonalised against the basis twice; T grows by the
+    block's column of coefficients and the next block's coordinates B.
+    """
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    q, start = _orthonormal(y, np.linalg.norm(y))
+    if not len(start):  # Y = 0
+        return _DiffusionFilter(np.zeros(0), start, q)
+    basis, proj = q, np.zeros((len(start), len(start)))
+    est = np.zeros((2 * len(_PROBE_ORDERS), 0, y.shape[1]))
+    for _ in range(_MAX_BLOCKS):
+        w = lap @ q
+        scale = np.linalg.norm(w)
+        for _twice in range(2):
+            h = basis.T @ w
+            w -= basis @ h
+            proj[:, -q.shape[1] :] += h
+        if not np.abs(proj - proj.T).max() <= _SPECTRUM_TOL * np.abs(proj).max():  # or NaN
+            raise ValueError("the Krylov filter needs a symmetric operator")
+        theta, vecs = np.linalg.eigh(proj)
+        if theta[0] < -_SPECTRUM_TOL * np.abs(theta).max():
+            raise ValueError(
+                "the Krylov filter needs a positive semidefinite operator; "
+                f"it has a Ritz value {theta[0]:.3g}"
+            )
+        # scrub rounding at zero, as eigendecompose does: at long horizons a
+        # null Ritz value of 1e-16 would damp the null space visibly
+        theta = np.where(theta < 1e-12, 0.0, theta)
+        samples = np.concatenate([ml_spectrum(a, theta, horizon) for a in _PROBE_ORDERS])
+        coords = vecs[: len(start)].T @ start
+        prev, est = est, vecs @ (samples[..., None] * coords)
+        prev = np.pad(prev, ((0, 0), (0, len(theta) - prev.shape[1]), (0, 0)))
+        if np.linalg.norm(est - prev) <= _SETTLE_TOL * np.linalg.norm(est):
+            break
+        q, b = _orthonormal(w, scale)
+        if not len(b):
+            break  # the space is invariant, and the filter exact
+        basis, proj = np.hstack([basis, q]), np.pad(proj, (0, len(b)))
+        proj[-len(b) :, -len(b) - b.shape[1] : -len(b)] = b
+    else:
+        raise ValueError(f"the Krylov filter did not settle within {_MAX_BLOCKS} blocks")
+    return _DiffusionFilter(theta, coords, basis @ vecs)
 
 
 def _diffusion_filter(operator, state: np.ndarray, horizon: float) -> _DiffusionFilter:
-    """The filter of a `SpectralBasis` or a dense normalized Laplacian.
+    """The filter of a `SpectralBasis` or a dense Laplacian for state Y.
 
-    `state` is n_nodes x F.  The Laplacian's spectrum must lie in [0, 2], as
-    every symmetrically normalized Laplacian's does; the Chebyshev degree is
-    chosen for `horizon` and serves every shorter one.  A stack term larger
-    than the state (|T_j(L - I) Y| <= |Y| when the spectrum lies in [0, 2])
-    raises ValueError; the check is necessary, not sufficient.
+    `state` is n_nodes x F.  A Laplacian's Krylov filter settles at
+    `horizon` and serves shorter ones; an asymmetric or indefinite operator,
+    or a horizon that is negative or not finite, raises ValueError.
     """
     if isinstance(operator, SpectralBasis):
         n = operator.n
@@ -167,23 +166,7 @@ def _diffusion_filter(operator, state: np.ndarray, horizon: float) -> _Diffusion
     if isinstance(operator, SpectralBasis):
         u = operator.eigenvectors
         return _DiffusionFilter(operator.eigenvalues, u.T @ y, u)
-    m = _chebyshev_degree(horizon)
-    # three-term recurrence in L - I, without forming L - I
-    stack = np.empty((m + 1, *y.shape))
-    stack[0] = y
-    stack[1] = lap @ y - y
-    # each term's norm as it is made: a norm over the stack would copy it
-    norms = np.empty(m + 1)
-    norms[:2] = np.linalg.norm(stack[0]), np.linalg.norm(stack[1])
-    for j in range(2, m + 1):
-        stack[j] = 2.0 * (lap @ stack[j - 1] - stack[j - 1]) - stack[j - 2]
-        norms[j] = np.linalg.norm(stack[j])
-    if np.any(norms > (1.0 + _STACK_SLACK) * norms[0]):
-        raise ValueError(
-            "the Chebyshev filter needs a symmetric Laplacian with spectrum in [0, 2]; "
-            f"T_j(L - I) grows this state by {norms.max() / norms[0]:.3g}"
-        )
-    return _DiffusionFilter(_lobatto_points(m), stack)
+    return _krylov_filter(lap, y, horizon)
 
 
 def solve_linear_spectral(

@@ -23,7 +23,6 @@ from fracgcl.data import (
 )
 from fracgcl.encoder import bank_forward, combine_views
 from fracgcl.graphs import eigendecompose, normalized_laplacian
-from fracgcl.solver import _chebyshev_degree
 from fracgcl.training import TrainConfig, avla
 
 
@@ -360,12 +359,12 @@ class TestTrainEmbedProbe:
         assert self._probe(tmp_path, dataset_dir) == 1
         assert "test split node" in capsys.readouterr().err
 
-    def test_avla_trace_reports_merges(self, tmp_path, dataset_dir):
+    def test_train_reports_merges(self, tmp_path, dataset_dir):
         cfg = _train_config(tmp_path, dataset_dir, "trace", k_init=3)
-        assert main(["avla-trace", "--config", cfg, "--seed", "4"]) == 0
-        trace = json.loads((tmp_path / "trace" / "trace.json").read_text())
-        assert "merge_events" in trace and "alpha_traces" in trace
-        assert trace["k_final"] >= 2
+        assert main(["train", "--config", cfg, "--seed", "4"]) == 0
+        report = json.loads((tmp_path / "trace" / "report.json").read_text())
+        assert "merge_events" in report and "alpha_traces" in report
+        assert len(report["final_alphas"]) >= 2
 
     def test_forced_collapse_exits_2(self, tmp_path, dataset_dir, capsys):
         cfg = _train_config(tmp_path, dataset_dir, "bad", merge_delta=10.0)
@@ -641,11 +640,7 @@ class TestChebyshevPath:
             patch.setattr(fracgcl.cli, "eigendecompose", refuse)
             patch.setattr(fracgcl.graphs, "eigendecompose", refuse)
             assert main(["train", "--config", cfg, "--seed", "2"]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["chebyshev_degree"] == _chebyshev_degree(2.0)
             assert main(["embed", "--config", cfg, "--seed", "2"]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["chebyshev_degree"] == _chebyshev_degree(2.0)
 
         # the same training and embedding through the eigenbasis
         section = _dataset_section(dataset_dir)

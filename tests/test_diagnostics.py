@@ -711,6 +711,16 @@ class TestCtmcWalk:
         assert emp[5] == 0.0
         assert 0.5 * np.abs(emp[:5] - ref).sum() < 0.01
 
+    def test_small_row_after_a_large_row_keeps_its_shares(self):
+        # row 2's weights are 1e-18 of row 0's; cumulated raw, they once
+        # rounded to one entry and node 3 got no walkers
+        g = build_graph(5, [(0, 1, 1e6), (2, 3, 1e-12), (2, 4, 3e-12)])
+        jump = np.array([[0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        ref = expm(-0.01 * (np.eye(3) - jump))[0]
+        emp = ctmc_walk_sim(g, 0.01, 100_000, seed=1, start=2)
+        assert emp[3] / (emp[3] + emp[4]) == pytest.approx(0.25, abs=0.05)
+        assert 0.5 * np.abs(emp[2:] - ref).sum() < 5e-4
+
 
 def _heavy_tailed(g, t_end, n_walkers, seed, start):
     cfg = WalkConfig(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, sbm_connected_graph, traced_peak
+from fracgcl import data, solver
 from fracgcl.encoder import (
     EncoderBank,
     EncoderParams,
@@ -14,8 +15,8 @@ from fracgcl.encoder import (
     init_bank,
     init_encoder_params,
 )
-from fracgcl.graphs import eigendecompose, gft, normalized_laplacian
-from fracgcl.solver import _chebyshev_degree, _diffusion_filter
+from fracgcl.graphs import build_graph, eigendecompose, gft, normalized_laplacian
+from fracgcl.solver import _diffusion_filter
 from fracgcl.special import ml, ml_spectrum
 from fracgcl.training import TrainConfig
 
@@ -220,8 +221,38 @@ class TestBank:
         assert rel > 0.1
 
 
+ORDERS = (TrainConfig.clip_eps, 0.01, 0.1, 0.3, 0.5, 0.8, 1.0)
+
+
+def krylov_and_eigenbasis(lap, x, horizon):
+    """(got, want) pairs of P and dP/dalpha per order: Krylov, then eigenbasis."""
+    krylov = _diffusion_filter(lap, x, horizon)
+    spectral = _diffusion_filter(eigendecompose(lap), x, horizon)
+    for alpha in ORDERS:
+        yield tuple(
+            f.apply(np.stack(ml_spectrum(alpha, f.nodes, horizon), axis=1))
+            for f in (krylov, spectral)
+        )
+
+
+def assert_within_1e_12_of_the_largest(lap, x, horizon):
+    """Largest error of P, and of dP/dalpha, over the orders, within 1e-12 of
+    the largest value over the orders."""
+    pairs = list(krylov_and_eigenbasis(lap, x, horizon))
+    for i in range(2):
+        err = max(np.abs(gots[i] - wants[i]).max() for gots, wants in pairs)
+        assert err < 1e-12 * max(np.abs(wants[i]).max() for _, wants in pairs)
+
+
+def assert_matches_eigenbasis(lap, x, horizon=20.0):
+    for gots, wants in krylov_and_eigenbasis(lap, x, horizon):
+        for name, got, want in zip(("P", "dP/dalpha"), gots, wants):
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert rel < 1e-9, (name, rel)
+
+
 class TestFeatureFilter:
-    """The Chebyshev filter of the Laplacian against the eigenbasis filter."""
+    """The Krylov filter of the Laplacian against the eigenbasis filter."""
 
     @pytest.fixture(scope="class")
     def graph_and_features(self):
@@ -229,19 +260,112 @@ class TestFeatureFilter:
         x = np.random.default_rng(73).normal(size=(60, 5))
         return normalized_laplacian(g), x
 
+    @pytest.fixture(scope="class")
+    def pipeline_graph(self):
+        # the benchmark pipeline's dataset at n = 2000
+        spec = data.SynthSpec(
+            n=2000, n_blocks=2, p_in=0.02, p_out=0.1, feature_dim=8,
+            class_mean_separation=0.36, noise_sigma=1.0, seed=1,
+        )
+        ds = data.synth_sbm(spec)
+        return normalized_laplacian(ds.graph), ds.features
+
     @pytest.mark.parametrize("horizon", [2.0, 20.0, 100.0])
     def test_chebyshev_matches_eigenbasis(self, graph_and_features, horizon):
+        # named for the filter that the Krylov one replaced; same 1e-9 bound
+        assert_matches_eigenbasis(*graph_and_features, horizon)
+
+    @pytest.mark.parametrize("horizon", [300.0, 1e3, 1e4])
+    def test_long_horizons_match_within_1e_12_of_the_largest(
+        self, graph_and_features, horizon
+    ):
+        # at long horizons dP/dalpha at order 1 is about exp(-T lam_2), so a
+        # relative error measures only rounding: judge by the largest value
+        assert_within_1e_12_of_the_largest(*graph_and_features, horizon)
+
+    def test_zero_state_gives_zeros(self, graph_and_features):
         lap, x = graph_and_features
-        spectral = _diffusion_filter(eigendecompose(lap), x, horizon)
-        chebyshev = _diffusion_filter(lap, x, horizon)
-        for alpha in (TrainConfig.clip_eps, 0.01, 0.1, 0.3, 0.5, 0.8, 1.0):
-            wants, gots = (
-                f.apply(np.stack(ml_spectrum(alpha, f.nodes, horizon), axis=1))
-                for f in (spectral, chebyshev)
-            )
-            for name, want, got in zip(("P", "dP/dalpha"), wants, gots):
-                rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-                assert rel < 1e-9, (name, alpha, rel)
+        zero = np.zeros_like(x)
+        for gots, wants in krylov_and_eigenbasis(lap, zero, 20.0):
+            for got, want in zip(gots, wants):
+                assert got.shape == want.shape and not np.any(got) and not np.any(want)
+
+    def test_zero_and_duplicate_columns_deflate(self, graph_and_features):
+        lap, x = graph_and_features
+        x = np.column_stack([x[:, :3], np.zeros(len(x)), x[:, 1]])
+        assert_matches_eigenbasis(lap, x)
+        assert _diffusion_filter(lap, x, 20.0).nodes.size % 3 == 0
+
+    @pytest.mark.parametrize("width", [60, 70])
+    def test_as_many_features_as_nodes(self, graph_and_features, width):
+        lap, _ = graph_and_features
+        x = np.random.default_rng(width).normal(size=(60, width))
+        assert_matches_eigenbasis(lap, x)
+        # the first block spans the whole space, which is invariant
+        assert _diffusion_filter(lap, x, 20.0).nodes.size == 60
+
+    def test_isolated_node(self):
+        g = random_connected_graph(12, 0.4, seed=89)
+        edges = zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
+        lap = normalized_laplacian(build_graph(13, list(edges)))
+        assert_matches_eigenbasis(lap, np.random.default_rng(3).normal(size=(13, 4)))
+
+    def test_combinatorial_laplacian_matches_its_eigenbasis(self):
+        adj = random_connected_graph(12, 0.4, seed=89).adjacency
+        combinatorial = np.diag(adj.sum(axis=1)) - adj
+        x = np.random.default_rng(97).normal(size=(12, 4))
+        assert_matches_eigenbasis(combinatorial, x)
+
+    @pytest.mark.parametrize("operator", ["negated", "adjacency"])
+    def test_indefinite_operator_rejected(self, operator):
+        g = random_connected_graph(12, 0.4, seed=89)
+        op = -normalized_laplacian(g) if operator == "negated" else g.adjacency
+        x = np.random.default_rng(97).normal(size=(12, 4))
+        p = EncoderParams(weights=np.eye(4), alpha=0.5, horizon=20.0)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            encoder_forward(op, x, p)
+
+    def test_asymmetric_operator_rejected(self, graph_and_features):
+        lap, x = graph_and_features
+        skewed = lap.copy()
+        skewed[0, 1] += 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            _diffusion_filter(skewed, x, 20.0)
+
+    def test_pipeline_graph_takes_at_most_20_products(self, pipeline_graph):
+        lap, x = pipeline_graph
+        filt = _diffusion_filter(lap, x, 20.0)
+        # random features deflate nothing, so each product adds F columns
+        assert filt.vectors.shape[1] % x.shape[1] == 0
+        assert filt.vectors.shape[1] <= 20 * x.shape[1]
+
+    def test_build_peak_is_a_few_bases(self, pipeline_graph):
+        # measured 2.4 times the kept Ritz vectors; an n x n temporary would
+        # be 16 times
+        lap, x = pipeline_graph
+        filt, peak = traced_peak(lambda: _diffusion_filter(lap, x, 20.0))
+        assert peak < 3.0 * filt.vectors.nbytes
+
+    def test_block_cap_is_named(self, graph_and_features, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_BLOCKS", 2)
+        with pytest.raises(ValueError, match="within 2 blocks"):
+            _diffusion_filter(*graph_and_features, 20.0)
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_unresolvable_horizon_rejected(self, graph_and_features, horizon):
+        lap, x = graph_and_features
+        with pytest.raises(ValueError, match="horizon"):
+            _diffusion_filter(lap, x, horizon)
+
+    def test_zero_horizon_is_the_identity(self, graph_and_features):
+        lap, x = graph_and_features
+        identity = _diffusion_filter(lap, x, 0.0)
+        assert np.abs(identity.apply(np.ones(identity.nodes.size)) - x).max() < 1e-13
+
+    def test_very_long_horizon_matches_within_1e_12_of_the_largest(
+        self, graph_and_features
+    ):
+        assert_within_1e_12_of_the_largest(*graph_and_features, 1e5)
 
     @pytest.mark.parametrize("operator", ["basis", "laplacian"])
     def test_value_only_apply_matches_the_pair(self, graph_and_features, operator):
@@ -253,36 +377,7 @@ class TestFeatureFilter:
             value, deriv = ml_spectrum(alpha, filt.nodes, 20.0)
             got = filt.apply(value)
             want = filt.apply(np.stack([value, deriv], axis=1))[0]
-            if operator == "basis":
-                assert np.array_equal(got, want)
-            else:
-                assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-14
-
-    def test_spectrum_outside_0_2_rejected(self):
-        # the combinatorial Laplacian D - A reaches twice the largest degree
-        adj = random_connected_graph(12, 0.4, seed=89).adjacency
-        combinatorial = np.diag(adj.sum(axis=1)) - adj
-        x = np.random.default_rng(97).normal(size=(12, 4))
-        p = EncoderParams(weights=np.eye(4), alpha=0.5, horizon=20.0)
-        with pytest.raises(ValueError, match=r"spectrum in \[0, 2\]"):
-            encoder_forward(combinatorial, x, p)
-
-    def test_stack_is_the_only_large_allocation(self):
-        # the [0, 2] check once squared the whole stack into a second one
-        lap = normalized_laplacian(sbm_connected_graph(300, 3, 0.1, 0.01, seed=5))
-        x = np.random.default_rng(7).normal(size=(300, 8))
-        filt, peak = traced_peak(lambda: _diffusion_filter(lap, x, 20.0))
-        assert peak < 1.25 * filt.stack.nbytes
-
-    def test_degree_grows_with_the_horizon_from_a_floor(self):
-        degrees = [_chebyshev_degree(t) for t in (0.01, 2.0, 10.0, 20.0, 100.0)]
-        assert degrees[:3] == [28, 28, 28]
-        assert degrees[2] < degrees[3] < degrees[4]
-
-    @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, 1e5])
-    def test_unresolvable_horizon_rejected(self, horizon):
-        with pytest.raises(ValueError, match="horizon"):
-            _chebyshev_degree(horizon)
+            assert np.array_equal(got, want)
 
     def test_bank_forward_through_the_laplacian(self):
         g = random_connected_graph(12, 0.4, seed=79)

@@ -169,7 +169,7 @@ class TestGradLoss:
         n=6, alphas=[1e-4, 1.0], d_in=2, width=2, horizon=2.0, eta=0.5,
         activation="relu", seed=4,
     )
-    # the eigenbasis filter, and the Chebyshev filter of the Laplacian
+    # the eigenbasis filter, and the Krylov filter of the Laplacian
     @pytest.mark.parametrize("operator", ["basis", "laplacian"])
     def test_analytic_matches_finite_difference_on_random_banks(
         self, operator, n, alphas, d_in, width, horizon, eta, activation, seed
@@ -258,8 +258,20 @@ class TestLossAndGrads:
 
 
 class TestAvla:
+    @staticmethod
+    def pinned_run(operator):
+        """A run with one merge and ReLU-dead rows in its views."""
+        lap = normalized_laplacian(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2))
+        op = eigendecompose(lap) if operator == "basis" else lap
+        x = np.random.default_rng(5).normal(size=(24, 4))
+        cfg = TrainConfig(
+            k_init=4, epochs_n=6, lr_w=0.05, lr_alpha=0.05, merge_delta=0.3, seed=3
+        )
+        _, finals, bank, report = avla(op, x, cfg, horizon=2.0, d_hid=2)
+        return finals, bank, report
+
     # sha256 of the final orders then every final weight matrix, and the last
-    # epoch's loss, for a run with one merge and ReLU-dead rows in its views
+    # epoch's loss
     @pytest.mark.parametrize(
         "operator, digest, last_loss",
         [
@@ -270,25 +282,28 @@ class TestAvla:
             ),
             (
                 "laplacian",
-                "c864f866368eae629a5829e4f6bd2c5ee0420fd66be39ab4863a664250ebfa77",
-                2.0205727782228595,
+                "22ace4ab3842a01decb727a5f523a661517de5e74c8cb91b0728f29c385b71f1",
+                2.020572778222934,
             ),
         ],
     )
     def test_outputs_pinned(self, operator, digest, last_loss):
-        lap = normalized_laplacian(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2))
-        op = eigendecompose(lap) if operator == "basis" else lap
-        x = np.random.default_rng(5).normal(size=(24, 4))
-        cfg = TrainConfig(
-            k_init=4, epochs_n=6, lr_w=0.05, lr_alpha=0.05, merge_delta=0.3, seed=3
-        )
-        _, finals, bank, report = avla(op, x, cfg, horizon=2.0, d_hid=2)
+        finals, bank, report = self.pinned_run(operator)
         h = hashlib.sha256(np.asarray(finals).tobytes())
         for enc in bank.encoders:
             h.update(np.ascontiguousarray(enc.weights).tobytes())
         assert len(report.merge_events) == 1
         assert h.hexdigest() == digest
         assert report.losses[-1] == pytest.approx(last_loss, rel=1e-15, abs=0.0)
+        if operator == "laplacian":
+            # the Krylov filter's run agrees with the eigenbasis run
+            want_finals, want_bank, want_report = self.pinned_run("basis")
+            assert np.abs(np.subtract(finals, want_finals)).max() < 1e-12
+            for got, want in zip(bank.encoders, want_bank.encoders):
+                assert np.abs(got.weights - want.weights).max() < 1e-12
+            assert report.losses[-1] == pytest.approx(
+                want_report.losses[-1], rel=1e-13, abs=0.0
+            )
 
     def test_separated_orders_terminate_in_one_round(self, cyc10_basis):
         x = np.random.default_rng(0).normal(size=(10, 3))
