@@ -11,9 +11,9 @@ line (`cli`).
 from .data import Dataset, SynthSpec, load_dataset, synth_sbm
 from .encoder import EncoderBank, EncoderParams, ViewEmbedding
 from .graphs import Graph, SpectralBasis, build_graph, eigendecompose, normalized_laplacian
-from .solver import solve_caputo_pc, solve_linear_spectral, solve_with_skips
-from .special import dml_dalpha, ml, ml_asymptotic, ml_spectrum
-from .training import TrainConfig, TrainReport, avla, grad_loss, tune_beta
+from .solver import solve_caputo_pc, solve_linear_spectral
+from .special import ml, ml_asymptotic, ml_spectrum
+from .training import TrainConfig, TrainReport, avla, grad_loss
 
 __version__ = "0.1.0"
 
@@ -32,15 +32,12 @@ __all__ = [
     "normalized_laplacian",
     "solve_caputo_pc",
     "solve_linear_spectral",
-    "solve_with_skips",
     "ml",
     "ml_spectrum",
     "ml_asymptotic",
-    "dml_dalpha",
     "TrainConfig",
     "TrainReport",
     "avla",
     "grad_loss",
-    "tune_beta",
     "__version__",
 ]

@@ -223,7 +223,7 @@ def _load_config(args: argparse.Namespace) -> dict:
     for path in _INTEGER_KEYS:
         holder, key = _at(cfg, path)
         if holder[key] is not None or _at(_DEFAULTS, path)[0][key] is not None:
-            holder[key] = _as_int(holder[key], path)
+            holder[key] = dio._as_int(holder[key], path)
     cfg["output_dir"] = str(cfg["output_dir"])
     return cfg
 
@@ -232,18 +232,6 @@ def _at(tree: dict, path: str) -> tuple[dict, str]:
     """The dict that holds the dotted config key path, and the key in it."""
     *section, key = path.split(".")
     return (tree[section[0]] if section else tree), key
-
-
-def _as_int(value, name: str) -> int:
-    """An integral config value as an int; ValueError naming the key otherwise.
-
-    Booleans are rejected although Python counts them as ints.
-    """
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _config_hash(cfg: dict) -> str:

@@ -5,7 +5,8 @@ File formats are deliberately small and explicit:
 * edges: CSV with header ``src,dst,weight``, canonical edges in row-major order
 * features: CSV with header ``f0,...,f{d-1}``, one row per node in index order
 * labels: CSV with header ``node,label``; absent nodes are unlabeled (-1)
-* splits: JSON object ``{"train": [...], "val": [...], "test": [...]}``
+* splits: JSON object ``{"train": [...], "val": [...], "test": [...]}`` of
+  distinct integral node indices (6.0 counts as 6; 6.9 and ``true`` do not)
 * matrices: CSV as above, or the FDMV binary layout: magic ``FDMV``,
   version u32, rows u64, cols u64, then row-major little-endian f64 payload
 
@@ -73,25 +74,44 @@ class Dataset:
             raise ValueError("labels must have one entry per node")
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError("labels must be integers")
-        if set(self.splits) - set(_SPLIT_NAMES):
-            extra = sorted(set(self.splits) - set(_SPLIT_NAMES))
-            raise ValueError(f"unknown split name {extra[0]!r}")
-        seen: set[int] = set()
-        for name in _SPLIT_NAMES:
-            part = list(self.splits.get(name, ()))
-            for idx in part:
-                if not 0 <= int(idx) < self.graph.n_nodes:
-                    raise ValueError(f"{name} split index {idx} out of range")
-                if int(idx) in seen:
-                    raise ValueError(f"splits overlap at node {idx}")
-                seen.add(int(idx))
+        splits = _check_splits(self.splits, self.graph.n_nodes)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(int))
-        object.__setattr__(
-            self,
-            "splits",
-            {n: tuple(int(i) for i in self.splits.get(n, ())) for n in _SPLIT_NAMES},
-        )
+        object.__setattr__(self, "splits", splits)
+
+
+def _as_int(value, name: str) -> int:
+    """An integral value as an int; ValueError naming it otherwise.
+
+    6.0 counts as 6; 6.9, strings and booleans (which Python counts as
+    ints) are rejected.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_splits(splits: dict, n: int) -> dict:
+    """Each split as a tuple of distinct node indices in [0, n)."""
+    extra = sorted(set(splits) - set(_SPLIT_NAMES))
+    if extra:
+        raise ValueError(f"unknown split name {extra[0]!r}")
+    out = {}
+    seen: set[int] = set()
+    for name in _SPLIT_NAMES:
+        part = splits.get(name, ())
+        if not isinstance(part, (list, tuple, range, np.ndarray)):
+            raise ValueError(f"{name} split must be a list of node indices, got {part!r}")
+        out[name] = tuple(_as_int(i, f"{name} split index") for i in part)
+        for idx in out[name]:
+            if not 0 <= idx < n:
+                raise ValueError(f"{name} split index {idx} out of range")
+            if idx in seen:
+                raise ValueError(f"splits overlap at node {idx}")
+            seen.add(idx)
+    return out
 
 
 @dataclass(frozen=True)
@@ -388,7 +408,11 @@ def load_dataset(
             raise ValueError(f"{split_path}:{exc.lineno}: invalid JSON") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{split_path}: top level must be an object")
-    return Dataset(graph=graph, features=features, labels=labels, splits=raw)
+    try:
+        splits = _check_splits(raw, n)
+    except ValueError as exc:
+        raise ValueError(f"{split_path}: {exc}") from None
+    return Dataset(graph=graph, features=features, labels=labels, splits=splits)
 
 
 def save_dataset(

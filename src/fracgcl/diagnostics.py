@@ -36,7 +36,6 @@ __all__ = [
     "random_walk_sim",
     "ctmc_walk_sim",
     "stability_harness",
-    "mean_pool_readout",
 ]
 
 
@@ -714,16 +713,3 @@ def stability_harness(
         holds=holds,
     )
 
-
-def mean_pool_readout(y, graph_assignment) -> np.ndarray:
-    """Average node rows per graph id; rows ordered by ascending id."""
-    m = _as_matrix(y)
-    ids = np.asarray(graph_assignment, dtype=int)
-    if ids.shape[0] != m.shape[0]:
-        raise ValueError("every node needs a graph id")
-    present = np.unique(ids)
-    expected = np.arange(present.min(), present.max() + 1)
-    missing = np.setdiff1d(expected, present)
-    if missing.size:
-        raise ValueError(f"graph {missing[0]} has no nodes")
-    return np.vstack([m[ids == gid].mean(axis=0) for gid in present])

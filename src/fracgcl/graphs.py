@@ -1,4 +1,4 @@
-"""Graph construction, normalized Laplacian, spectral transforms, perturbation.
+"""Graph construction, normalized Laplacian, eigendecomposition, perturbation.
 
 All graphs are undirected with positive edge weights, stored as arrays of
 their canonical edges (the dense adjacency is derived on request).  The
@@ -18,10 +18,7 @@ __all__ = [
     "build_graph",
     "normalized_laplacian",
     "eigendecompose",
-    "gft",
-    "igft",
     "perturb_graph",
-    "n_components",
 ]
 
 _SYM_TOL = 1e-10
@@ -169,39 +166,6 @@ def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
     lead = np.argmax(mag == mag.max(axis=0), axis=0)
     vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
     return SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
-
-
-def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform: coefficients c_i = <x, u_i>."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != basis.n:
-        raise ValueError(f"signal length {x.shape[0]} != basis size {basis.n}")
-    return basis.eigenvectors.T @ x
-
-
-def igft(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
-    """Inverse graph Fourier transform."""
-    c = np.asarray(c, dtype=float)
-    if c.shape[0] != basis.n:
-        raise ValueError(f"coefficient length {c.shape[0]} != basis size {basis.n}")
-    return basis.eigenvectors @ c
-
-
-def n_components(g: Graph) -> int:
-    """Connected-component count by min-label propagation.
-
-    Each node's label is the smallest node index it has reached; pointer
-    jumping (label of the label) lets labels cross long paths in few rounds.
-    """
-    label = np.arange(g.n_nodes)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, g.src, label[g.dst])
-        np.minimum.at(low, g.dst, label[g.src])
-        low = low[low]
-        if np.array_equal(low, label):
-            return len(np.unique(label))
-        label = low
 
 
 def perturb_graph(g: Graph, ratio: float, mode: str, seed: int) -> Graph:

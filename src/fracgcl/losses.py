@@ -4,7 +4,7 @@ The primary objective, stated once with its gradient w.r.t. every view,
 is the regularized cosmean loss over the view cycle: row-wise cosine
 alignment of consecutive views plus a penalty on the alignment of their
 dominant principal directions, which keeps views from collapsing onto a
-shared axis.  Euclidean, Barlow Twins, VICReg and CCA serve in ablations.
+shared axis.  Barlow Twins and VICReg serve in ablations.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ __all__ = [
     "cosmean",
     "dominant_direction",
     "regularized_cosmean",
-    "total_loss",
-    "euclidean_loss",
     "barlow_twins",
     "vicreg",
-    "cca_loss",
 ]
 
 
@@ -200,25 +197,6 @@ def _objective(views, axes, eta: float):
     return loss, grads
 
 
-def total_loss(views, eta: float) -> float:
-    """Sum of regularized cosmean over the consecutive-view cycle.
-
-    Pairs are ordered (k, k+1 mod K); with K=2 both ordered pairs count,
-    so each term appears twice.
-    """
-    if len(views) < 2:
-        raise ValueError(f"need at least 2 views, got {len(views)}")
-    mats = np.stack([_paired(v, views[0])[0] for v in views])
-    axes = None if eta == 0.0 else _principal_axes(mats)
-    return _objective(mats, axes, eta)[0]
-
-
-def euclidean_loss(ya, yb) -> float:
-    """Mean squared row-wise distance between the two embeddings."""
-    a, b = _paired(ya, yb)
-    return float(np.mean(np.sum((a - b) ** 2, axis=1)))
-
-
 def _standardize_columns(m: np.ndarray) -> np.ndarray:
     mu = m.mean(axis=0, keepdims=True)
     sd = m.std(axis=0, keepdims=True)
@@ -262,21 +240,3 @@ def vicreg(ya, yb, w_inv: float, w_var: float, w_cov: float, eps: float) -> floa
         cov += float(np.sum(off**2))
     return w_inv * inv + w_var * var / d + w_cov * cov / d
 
-
-def cca_loss(ya, yb, cca_lambda: float) -> float:
-    """Cross-view invariance plus per-view decorrelation toward identity.
-
-    Columns are centered and scaled by 1/sqrt(N), so Y'Y is the covariance
-    matrix and the identity target means unit-variance decorrelated features.
-    """
-    a, b = _paired(ya, yb)
-    n, d = a.shape
-    eye = np.eye(d)
-    scaled = []
-    for m in (a, b):
-        centered = m - m.mean(axis=0, keepdims=True)
-        scaled.append(centered / np.sqrt(n))
-    sa, sb = scaled
-    inv = float(np.sum((sa - sb) ** 2))
-    dec = float(np.sum((sa.T @ sa - eye) ** 2) + np.sum((sb.T @ sb - eye) ** 2))
-    return inv + cca_lambda * dec

@@ -1,16 +1,16 @@
 """Solvers for the fractional diffusion D^alpha_t Y(t) = F(W, Y(t)).
 
-Three routes:
+Two routes:
   * closed-form spectral solution for the linear right-hand side -L Y,
   * a fractional Adams-Bashforth-Moulton predictor-corrector with full
-    memory for arbitrary right-hand sides,
-  * the skip-connection composition (diffuse tau, add the input back,
-    m times), whose per-frequency multiplier is a geometric sum.
+    memory for arbitrary right-hand sides.
+The skip-connection composition (diffuse tau, add the input back, m times)
+is given by its per-frequency multiplier, a geometric sum.
 
 Every f(L) Y goes through one diffusion filter, f(L) Y = V (f(theta) * C),
 built once per graph operator and state for any f sampled at its nodes
-theta: e_alpha(., T), the skip sum, or for the encoder's views the kernel
-and its order derivative.  A `SpectralBasis` gives its eigenpairs and
+theta: e_alpha(., T), or for the encoder's views the kernel and its order
+derivative.  A `SpectralBasis` gives its eigenpairs and
 C = V^T Y.  A dense Laplacian gives the Ritz pairs of its block-Krylov space
 span{Y, L Y, ..., L^(m-1) Y} from block Lanczos (Golub & Underwood, 1977):
 with T = Q^T L Q = S diag(theta) S^T, V = Q S and C = S^T Q^T Y, so the
@@ -36,7 +36,6 @@ __all__ = [
     "BlowUpError",
     "solve_linear_spectral",
     "solve_caputo_pc",
-    "solve_with_skips",
     "skip_multiplier",
 ]
 
@@ -271,36 +270,6 @@ def solve_caputo_pc(
         f_hist[n + 1] = rhs(t_next, y_next)
 
     return Trajectory(times=times, states=states)
-
-
-def solve_with_skips(
-    basis: SpectralBasis,
-    y0: np.ndarray,
-    alpha: float,
-    tau: float,
-    m: int,
-) -> np.ndarray:
-    """Skip-connection composition: m segments of length tau with re-injection.
-
-    Each frequency coefficient ends up multiplied by `skip_multiplier`.
-
-    Args:
-        basis: spectral basis of the Laplacian.
-        y0: initial state, shape (N,) or (N, F).
-        alpha: fractional order in (0, 1].
-        tau: segment length, > 0.
-        m: number of skip segments, >= 1.
-
-    Returns:
-        Final state after the m-fold composition.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    y0 = np.asarray(y0, dtype=float)
-    filt = _diffusion_filter(basis, y0.reshape(len(y0), -1), tau)
-    return filt.apply(skip_multiplier(alpha, filt.nodes, tau, m)).reshape(y0.shape)
 
 
 def skip_multiplier(alpha: float, eigenvalues: np.ndarray, tau: float, m: int) -> np.ndarray:

@@ -49,7 +49,6 @@ __all__ = [
     "ml",
     "ml_spectrum",
     "ml_asymptotic",
-    "dml_dalpha",
 ]
 
 
@@ -240,22 +239,3 @@ def ml_asymptotic(alpha: float, lam: float, tau: float, n_terms: int) -> float:
     coeffs = _tail_coeffs(alpha, lam, n_terms)
     return float(np.sum(coeffs * tau ** (-alpha * np.arange(1, n_terms + 1))))
 
-
-def dml_dalpha(alpha: float, lam: float, t: float) -> float:
-    """Derivative of the Mittag-Leffler kernel with respect to its order.
-
-    One entry of `ml_spectrum`.
-
-    Args:
-        alpha: fractional order in (0, 1].
-        lam: nonnegative rate.
-        t: strictly positive time.
-
-    Returns:
-        d/dalpha e_alpha(lam, t), matching central finite differences of
-        ml() to relative 1e-4 or better.
-    """
-    d_dalpha = ml_spectrum(alpha, [lam], t)[1]
-    if not (t > 0.0):
-        raise ValueError("dml_dalpha requires t > 0")
-    return float(d_dalpha[0])

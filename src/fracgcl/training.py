@@ -21,7 +21,6 @@ from .encoder import (
     EncoderBank,
     EncoderParams,
     _activation,
-    combine_views,
     init_encoder_params,
 )
 from .losses import (
@@ -40,7 +39,6 @@ __all__ = [
     "grad_loss",
     "merge_alphas",
     "avla",
-    "tune_beta",
 ]
 
 # merge/retrain rounds before avla gives up on the view set stabilizing
@@ -286,75 +284,3 @@ def avla(
         return len(final), final, bank, report
     raise RuntimeError(f"view set did not stabilize within {_MAX_ROUNDS} rounds")
 
-
-def _near_uniform_counts(k: int, total: int = 100) -> list[int]:
-    base = total // k
-    counts = [base] * k
-    for i in range(total - base * k):
-        counts[i] += 1
-    return counts
-
-
-def tune_beta(views, labels, val_split, probe_cfg) -> np.ndarray:
-    """Pick combination weights maximizing validation probe accuracy.
-
-    Weights live on the 0.01 grid.  Two views get an exhaustive scan
-    (101 candidates); more views get greedy mass transfer between pairs
-    of coordinates (step 0.10 then 0.01) starting from the uniform point.
-    Ties prefer the candidate closest to uniform.
-    """
-    from .diagnostics import linear_probe
-
-    val = [int(i) for i in val_split]
-    if not val:
-        raise ValueError("validation split is empty")
-    labels = np.asarray(labels)
-    val_set = set(val)
-    train = [
-        int(i) for i in range(len(labels)) if labels[i] >= 0 and i not in val_set
-    ]
-    if not train:
-        raise ValueError("no labeled nodes outside the validation split")
-    k = len(views)
-    splits = {"train": train, "val": val, "test": []}
-    uniform = np.full(k, 1.0 / k)
-    cache: dict[tuple, float] = {}
-
-    def score(counts) -> float:
-        key = tuple(counts)
-        if key not in cache:
-            beta = np.asarray(counts, dtype=float) / 100.0
-            combined = combine_views(list(views), beta)
-            cache[key] = linear_probe(combined, labels, splits, probe_cfg)[1]
-        return cache[key]
-
-    def rank(counts):
-        beta = np.asarray(counts, dtype=float) / 100.0
-        return (score(counts), -float(np.sum((beta - uniform) ** 2)))
-
-    if k == 2:
-        candidates = [(c, 100 - c) for c in range(101)]
-        best = max(candidates, key=rank)
-    else:
-        best = _near_uniform_counts(k)
-        improved = True
-        while improved:
-            improved = False
-            for step in (10, 1):
-                moves = [
-                    tuple(
-                        c - step * (idx == i) + step * (idx == j)
-                        for idx, c in enumerate(best)
-                    )
-                    for i in range(k)
-                    for j in range(k)
-                    if i != j and best[i] >= step
-                ]
-                if not moves:
-                    continue
-                challenger = max(moves, key=rank)
-                if rank(challenger) > rank(tuple(best)):
-                    best = list(challenger)
-                    improved = True
-                    break
-    return np.asarray(best, dtype=float) / 100.0

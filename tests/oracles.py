@@ -11,6 +11,8 @@ Laplacian oracle, which is the dense matrix formula over a full adjacency.
 The gradient oracle differences the value-only forward pass and loss in
 float64.  The pair-loop objective is the view-cycle loss stated one view
 pair at a time, as the trainer computed it before its views were stacked.
+`total_loss` is the loss value alone, through the trainer's stacked
+objective; it is what the gradient oracle differences.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from fracgcl.encoder import _activation
-from fracgcl.losses import total_loss
+from fracgcl.losses import _objective, _paired, _principal_axes
 from fracgcl.solver import _diffusion_filter
 from fracgcl.special import ml_spectrum
 from fracgcl.training import BankGradients
@@ -281,3 +283,16 @@ def loop_objective(views, axes, eta):
             grads[i] += eta * _loop_penalty_grad(*axes[i], vj, sign)
             grads[j] += eta * _loop_penalty_grad(*axes[j], vi, sign)
     return loss, grads
+
+
+def total_loss(views, eta: float) -> float:
+    """Sum of regularized cosmean over the consecutive-view cycle.
+
+    Pairs are ordered (k, k+1 mod K); with K=2 both ordered pairs count,
+    so each term appears twice.
+    """
+    if len(views) < 2:
+        raise ValueError(f"need at least 2 views, got {len(views)}")
+    mats = np.stack([_paired(v, views[0])[0] for v in views])
+    axes = None if eta == 0.0 else _principal_axes(mats)
+    return _objective(mats, axes, eta)[0]

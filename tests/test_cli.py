@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -358,6 +359,17 @@ class TestTrainEmbedProbe:
         (dataset_dir / "labels.csv").write_text("\n".join(lines[:1] + kept) + "\n")
         assert self._probe(tmp_path, dataset_dir) == 1
         assert "test split node" in capsys.readouterr().err
+
+    def test_probe_rejects_fractional_split_index_naming_the_file(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        path = dataset_dir / "splits.json"
+        splits = json.loads(path.read_text())
+        splits["test"][0] += 0.5
+        path.write_text(json.dumps(splits))
+        assert self._probe(tmp_path, dataset_dir) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: test split index must be an integer" in err
 
     def test_train_reports_merges(self, tmp_path, dataset_dir):
         cfg = _train_config(tmp_path, dataset_dir, "trace", k_init=3)
@@ -759,3 +771,14 @@ def test_train_and_walk_load_no_scipy(tmp_path, dataset_dir):
     assert _scipy_modules_of_run(["walk", "--config", cfg]) == []
     versions = json.loads((tmp_path / "w" / "manifest.json").read_text())["versions"]
     assert "scipy" not in versions
+
+
+_SUBMODULES = [f"fracgcl.{m.name}" for m in pkgutil.iter_modules(fracgcl.__path__)]
+
+
+@pytest.mark.parametrize("name", ["fracgcl", *_SUBMODULES])
+def test_every_exported_name_resolves(name):
+    # `import *` and the benchmark's span tracer look up each `__all__` entry
+    mod = importlib.import_module(name)
+    missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
+    assert not missing

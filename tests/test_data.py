@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 from conftest import traced_peak
+from oracles import component_count
 
 from fracgcl.data import (
     Dataset,
@@ -18,13 +19,7 @@ from fracgcl.data import (
     synth_path,
     synth_sbm,
 )
-from fracgcl.graphs import (
-    build_graph,
-    eigendecompose,
-    n_components,
-    normalized_laplacian,
-    perturb_graph,
-)
+from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian, perturb_graph
 
 
 def _spec(**kw):
@@ -78,6 +73,25 @@ class TestDatasetInvariants:
     def test_split_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Dataset(synth_path(3), np.eye(3), np.zeros(3, dtype=int), {"train": (5,)})
+
+    @pytest.mark.parametrize(
+        "part, message",
+        [
+            ("12", "must be a list"),
+            (2, "must be a list"),
+            ([2.7], "must be an integer, got 2.7"),
+            ([True], "must be an integer, got True"),
+            (["1"], "must be an integer, got '1'"),
+        ],
+        ids=["string", "number", "fraction", "bool", "numeral"],
+    )
+    def test_split_entries_must_be_integral(self, part, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(synth_path(3), np.eye(3), np.zeros(3, dtype=int), {"val": part})
+
+    def test_integral_float_split_entry_is_an_index(self):
+        ds = Dataset(synth_path(3), np.eye(3), np.zeros(3, dtype=int), {"val": [2.0]})
+        assert ds.splits["val"] == (2,) and type(ds.splits["val"][0]) is int
 
     def test_overlapping_splits_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -213,7 +227,7 @@ class TestSynthSbm:
         # p_in=1, p_out=0 gives one complete component per block, so the
         # normalized Laplacian has a zero eigenvalue per block.
         ds = synth_sbm(_spec(n=30, n_blocks=3, p_in=1.0, p_out=0.0))
-        assert n_components(ds.graph) == 3
+        assert component_count(ds.graph.adjacency) == 3
 
     def test_noise_free_features_sit_on_means(self):
         ds = synth_sbm(_spec(noise_sigma=0.0, class_mean_separation=3.0))
@@ -529,6 +543,28 @@ class TestDatasetFiles:
         (tmp_path / "splits.json").write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
             load_dataset(e, f, l, s)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('{"val": "12"}', "val split must be a list"),
+            ('{"train": [2.7]}', "train split index must be an integer"),
+            ('{"train": [true]}', "train split index must be an integer"),
+            ('{"train": ["x"]}', "train split index must be an integer"),
+            ('{"train": [5000]}', "train split index 5000 out of range"),
+            ('{"trian": [0]}', "unknown split name 'trian'"),
+        ],
+        ids=["string", "fraction", "bool", "word", "range", "name"],
+    )
+    def test_split_errors_name_the_file(self, tmp_path, body, message):
+        e, f, l, s = self._paths(tmp_path)
+        (tmp_path / "edges.csv").write_text("src,dst,weight\n0,1,1.0\n")
+        (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n")
+        (tmp_path / "labels.csv").write_text("node,label\n")
+        (tmp_path / "splits.json").write_text(body)
+        with pytest.raises(ValueError) as exc:
+            load_dataset(e, f, l, s)
+        assert str(exc.value).startswith(f"{s}: ") and message in str(exc.value)
 
     def test_corruption_never_loads_silently_invalid(self, tmp_path):
         ds = synth_sbm(_spec(n=20, n_blocks=2, feature_dim=2))

@@ -31,7 +31,6 @@ from fracgcl.diagnostics import (
     energy_spectrum,
     fourier_spread,
     linear_probe,
-    mean_pool_readout,
     random_walk_sim,
     rc_ratio,
     stability_harness,
@@ -944,33 +943,3 @@ class TestStability:
                 InitStatePerturbation(0.01, np.ones(7)),
             )
 
-
-class TestMeanPool:
-    def test_single_graph_column_means(self):
-        rng = np.random.default_rng(9)
-        y = rng.normal(size=(8, 3))
-        pooled = mean_pool_readout(y, [0] * 8)
-        assert np.allclose(pooled, y.mean(axis=0, keepdims=True))
-
-    def test_identical_groups_pool_identically(self):
-        block = np.arange(6.0).reshape(3, 2)
-        y = np.vstack([block, block])
-        pooled = mean_pool_readout(y, [0, 0, 0, 1, 1, 1])
-        assert np.array_equal(pooled[0], pooled[1])
-
-    def test_permutation_within_graph_invariant(self):
-        rng = np.random.default_rng(10)
-        y = rng.normal(size=(6, 4))
-        ids = [0, 0, 0, 1, 1, 1]
-        shuffled = y[[2, 0, 1, 5, 3, 4]]
-        assert np.allclose(
-            mean_pool_readout(y, ids), mean_pool_readout(shuffled, ids)
-        )
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError, match="no nodes"):
-            mean_pool_readout(np.ones((4, 2)), [0, 0, 2, 2])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mean_pool_readout(np.ones((4, 2)), [0, 0, 1])

@@ -15,7 +15,7 @@ from fracgcl.encoder import (
     init_bank,
     init_encoder_params,
 )
-from fracgcl.graphs import build_graph, eigendecompose, gft, normalized_laplacian
+from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian
 from fracgcl.solver import _diffusion_filter
 from fracgcl.special import ml, ml_spectrum
 from fracgcl.training import TrainConfig
@@ -143,8 +143,8 @@ class TestForward:
         x = rng.normal(size=(10, 7))
         p = EncoderParams(weights=np.eye(7), alpha=0.5, horizon=4.0)
         out = encoder_forward(basis, x, p, activation="identity").matrix
-        spec_in = np.linalg.norm(gft(basis, x), axis=1)
-        spec_out = np.linalg.norm(gft(basis, out), axis=1)
+        spec_in = np.linalg.norm(basis.eigenvectors.T @ x, axis=1)
+        spec_out = np.linalg.norm(basis.eigenvectors.T @ out, axis=1)
         ratios = spec_out / spec_in
         assert np.all(np.diff(ratios) <= 1e-12)
         # and each ratio is the scalar relaxation value for its frequency
@@ -224,21 +224,26 @@ class TestBank:
 ORDERS = (TrainConfig.clip_eps, 0.01, 0.1, 0.3, 0.5, 0.8, 1.0)
 
 
-def krylov_and_eigenbasis(lap, x, horizon):
-    """(got, want) pairs of P and dP/dalpha per order: Krylov, then eigenbasis."""
-    krylov = _diffusion_filter(lap, x, horizon)
-    spectral = _diffusion_filter(eigendecompose(lap), x, horizon)
-    for alpha in ORDERS:
+def filter_pairs(krylov, spectral, horizon, orders=ORDERS):
+    """(got, want) pairs of P and dP/dalpha at `horizon` per order."""
+    for alpha in orders:
         yield tuple(
             f.apply(np.stack(ml_spectrum(alpha, f.nodes, horizon), axis=1))
             for f in (krylov, spectral)
         )
 
 
-def assert_within_1e_12_of_the_largest(lap, x, horizon):
+def krylov_and_eigenbasis(lap, x, horizon):
+    """filter_pairs of the Krylov and eigenbasis filters, both built at `horizon`."""
+    krylov = _diffusion_filter(lap, x, horizon)
+    spectral = _diffusion_filter(eigendecompose(lap), x, horizon)
+    return filter_pairs(krylov, spectral, horizon)
+
+
+def assert_within_1e_12_of_the_largest(pairs):
     """Largest error of P, and of dP/dalpha, over the orders, within 1e-12 of
     the largest value over the orders."""
-    pairs = list(krylov_and_eigenbasis(lap, x, horizon))
+    pairs = list(pairs)
     for i in range(2):
         err = max(np.abs(gots[i] - wants[i]).max() for gots, wants in pairs)
         assert err < 1e-12 * max(np.abs(wants[i]).max() for _, wants in pairs)
@@ -281,7 +286,30 @@ class TestFeatureFilter:
     ):
         # at long horizons dP/dalpha at order 1 is about exp(-T lam_2), so a
         # relative error measures only rounding: judge by the largest value
-        assert_within_1e_12_of_the_largest(*graph_and_features, horizon)
+        assert_within_1e_12_of_the_largest(krylov_and_eigenbasis(*graph_and_features, horizon))
+
+    @pytest.fixture(scope="class")
+    def block_model_300(self):
+        # criterion 10's block model at n = 300
+        spec = data.SynthSpec(
+            n=300, n_blocks=2, p_in=0.02, p_out=0.1, feature_dim=8,
+            class_mean_separation=0.36, noise_sigma=1.0, seed=1,
+        )
+        ds = data.synth_sbm(spec)
+        lap = normalized_laplacian(ds.graph)
+        return lap, ds.features, _diffusion_filter(eigendecompose(lap), ds.features, 0.0)
+
+    @pytest.mark.parametrize("built_at", [20.0, 1e3])
+    def test_serves_every_shorter_horizon(self, block_model_300, built_at):
+        # grad_loss and bank_forward build one filter at the longest horizon
+        lap, x, spectral = block_model_300
+        krylov = _diffusion_filter(lap, x, built_at)
+        orders = np.geomspace(1e-4, 1.0, 15)
+        for used_at in (1e-4, 0.01, 1.0, 5.0, 20.0, 100.0, 1e3):
+            if used_at <= built_at:
+                assert_within_1e_12_of_the_largest(
+                    filter_pairs(krylov, spectral, used_at, orders)
+                )
 
     def test_zero_state_gives_zeros(self, graph_and_features):
         lap, x = graph_and_features
@@ -365,7 +393,7 @@ class TestFeatureFilter:
     def test_very_long_horizon_matches_within_1e_12_of_the_largest(
         self, graph_and_features
     ):
-        assert_within_1e_12_of_the_largest(*graph_and_features, 1e5)
+        assert_within_1e_12_of_the_largest(krylov_and_eigenbasis(*graph_and_features, 1e5))
 
     @pytest.mark.parametrize("operator", ["basis", "laplacian"])
     def test_value_only_apply_matches_the_pair(self, graph_and_features, operator):

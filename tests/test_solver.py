@@ -9,8 +9,8 @@ from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian
 from fracgcl.solver import (
     BlowUpError,
     solve_caputo_pc,
+    skip_multiplier,
     solve_linear_spectral,
-    solve_with_skips,
 )
 from fracgcl.special import ml
 
@@ -60,17 +60,13 @@ class TestDenseSpectralFunction:
     def test_solvers_match_dense_product(self, shape):
         basis = eigendecompose(normalized_laplacian(random_connected_graph(12, 0.4, 5)))
         y = np.random.default_rng(7).standard_normal(shape)
-        alpha, t, m = 0.6, 2.0, 3
+        alpha, t = 0.6, 2.0
         damp = np.array([ml(alpha, float(l), t) for l in basis.eigenvalues])
-        skip = sum(damp**k for k in range(m + 1))
         u = basis.eigenvectors
-        for got, f in (
-            (solve_linear_spectral(basis, y, alpha, t), damp),
-            (solve_with_skips(basis, y, alpha, t, m), skip),
-        ):
-            want = (u @ np.diag(f) @ u.T) @ y
-            assert got.shape == y.shape
-            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+        got = solve_linear_spectral(basis, y, alpha, t)
+        want = (u @ np.diag(damp) @ u.T) @ y
+        assert got.shape == y.shape
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
 
 class TestCaputoPC:
@@ -128,31 +124,18 @@ class TestCaputoPC:
 
 class TestSkips:
     def test_single_skip_multiplier(self):
-        basis = k2_basis()
+        lams = k2_basis().eigenvalues
         alpha, tau = 0.6, 2.0
-        for i, lam in enumerate(basis.eigenvalues):
-            u = basis.eigenvectors[:, i]
-            out = solve_with_skips(basis, u, alpha, tau, 1)
-            expected = (1.0 + ml(alpha, float(lam), tau)) * u
-            assert np.allclose(out, expected, atol=1e-12)
+        mult = skip_multiplier(alpha, lams, tau, 1)
+        for lam, got in zip(lams, mult):
+            assert abs(got - (1.0 + ml(alpha, float(lam), tau))) < 1e-12
 
     def test_zero_frequency_exact(self):
-        basis = eigendecompose(normalized_laplacian(cycle_graph(6)))
-        u1 = basis.eigenvectors[:, 0]
+        lams = eigendecompose(normalized_laplacian(cycle_graph(6))).eigenvalues
         for m in (1, 3, 7):
-            out = solve_with_skips(basis, u1, 0.3, 5.0, m)
-            assert np.allclose(out, (m + 1.0) * u1, atol=1e-12)
+            assert abs(skip_multiplier(0.3, lams, 5.0, m)[0] - (m + 1.0)) < 1e-12
 
     def test_exponential_closed_form(self):
-        basis = k2_basis()
-        u2 = basis.eigenvectors[:, 1]
-        out = solve_with_skips(basis, u2, 1.0, 1.0, 2)
-        expected = (1.0 + math.exp(-2.0) + math.exp(-4.0)) * u2
-        assert np.allclose(out, expected, atol=1e-12)
-
-    def test_domain(self):
-        basis = k2_basis()
-        with pytest.raises(ValueError):
-            solve_with_skips(basis, np.ones(2), 0.5, -1.0, 2)
-        with pytest.raises(ValueError):
-            solve_with_skips(basis, np.ones(2), 0.5, 1.0, 0)
+        lam2 = k2_basis().eigenvalues[1:]  # eigenvalue 2
+        expected = 1.0 + math.exp(-2.0) + math.exp(-4.0)
+        assert abs(skip_multiplier(1.0, lam2, 1.0, 2)[0] - expected) < 1e-12

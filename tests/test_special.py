@@ -15,7 +15,6 @@ from scipy.special import digamma, erfcx
 
 from fracgcl.special import (
     _tail_coeffs,
-    dml_dalpha,
     gamma,
     ml,
     ml_asymptotic,
@@ -226,19 +225,12 @@ class TestMlAsymptotic:
 class TestDmlDalpha:
     def test_zero_rate(self):
         for alpha in (0.2, 0.9, 1.0):
-            assert dml_dalpha(alpha, 0.0, 4.0) == 0.0
-
-    def test_time_zero_rejected(self):
-        with pytest.raises(ValueError):
-            dml_dalpha(0.5, 1.0, 0.0)
+            assert ml_spectrum(alpha, [0.0], 4.0)[1][0] == 0.0
 
     def test_frozen_values(self):
         for (alpha, lam, t), expected in DML_FROZEN.items():
-            assert dml_dalpha(alpha, lam, t) == pytest.approx(expected, rel=1e-6), (
-                alpha,
-                lam,
-                t,
-            )
+            got = ml_spectrum(alpha, [lam], t)[1][0]
+            assert got == pytest.approx(expected, rel=1e-6), (alpha, lam, t)
 
     def test_matches_finite_difference_grid(self):
         # 5x5x5 grid straddling both evaluation branches
@@ -247,13 +239,13 @@ class TestDmlDalpha:
             for lam in (0.2, 0.6, 1.0, 1.5, 2.0):
                 for t in (0.1, 0.9, 3.0, 10.0, 30.0):
                     fd = (ml(alpha + h, lam, t) - ml(alpha - h, lam, t)) / (2.0 * h)
-                    got = dml_dalpha(alpha, lam, t)
+                    got = ml_spectrum(alpha, [lam], t)[1][0]
                     assert got == pytest.approx(fd, rel=1e-4, abs=1e-9), (alpha, lam, t)
 
     def test_boundary_alpha_one(self):
         # two-sided derivative exists at alpha=1; compare against the oracle
         for lam, t in ((1.0, 2.0), (2.0, 20.0), (0.5, 7.0)):
-            assert dml_dalpha(1.0, lam, t) == pytest.approx(
+            assert ml_spectrum(1.0, [lam], t)[1][0] == pytest.approx(
                 dml_oracle(1.0, lam, t), rel=1e-5, abs=1e-12
             )
 
@@ -269,7 +261,7 @@ class TestDmlDalpha:
                 / gamma(alpha * n + 1.0)
             )
             total += term
-        assert dml_dalpha(alpha, lam, 1.0) == pytest.approx(total, rel=1e-9)
+        assert ml_spectrum(alpha, [lam], 1.0)[1][0] == pytest.approx(total, rel=1e-9)
 
 
 class TestMlSpectrum:
@@ -281,9 +273,19 @@ class TestMlSpectrum:
                 for t in (1.0, 20.0, 1000.0):
                     val = ml(alpha, lam, t)
                     assert abs(val - ml_oracle_laplace(alpha, lam, t)) < 1e-12, (alpha, lam, t)
-                    assert dml_dalpha(alpha, lam, t) == pytest.approx(
+                    assert ml_spectrum(alpha, [lam], t)[1][0] == pytest.approx(
                         dml_oracle_laplace(alpha, lam, t), rel=1e-9
                     ), (alpha, lam, t)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    def test_orders_below_the_envelope_near_zero_order_limit(self, alpha):
+        # clip_eps accepts any floor in (0, 1); as alpha -> 0 the kernel tends
+        # to 1 / (1 + lam t^alpha), and the gap is O(alpha)
+        lams = np.concatenate(([0.0], np.geomspace(1e-3, 2.0, 60)))
+        for t in (0.01, 1.0, 20.0, 1000.0):
+            limit = 1.0 / (1.0 + lams * t**alpha)
+            gap = np.abs(ml_spectrum(alpha, lams, t)[0] - limit).max()
+            assert gap <= alpha, (t, gap / alpha)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -301,8 +303,7 @@ class TestMlSpectrum:
         assert np.all(ml_spectrum(alpha, lams, t + later)[0] <= vals + 1e-12)
         for lam, v, d in zip(lams, vals, d_dalpha):
             assert abs(ml(alpha, float(lam), t) - v) <= 1e-14
-            if t > 0.0:
-                assert abs(dml_dalpha(alpha, float(lam), t) - d) <= 1e-14
+            assert abs(ml_spectrum(alpha, [lam], t)[1][0] - d) <= 1e-14
         # central difference in the order, kept inside (0, 1)
         h = 1e-5
         a = min(max(alpha, 2.0 * h), 1.0 - 2.0 * h)

@@ -1,4 +1,4 @@
-"""Tests for gradient computation, order clipping/merging, AVLA, and beta tuning."""
+"""Tests for gradient computation, order clipping/merging, and AVLA."""
 
 import hashlib
 
@@ -7,26 +7,14 @@ import pytest
 from conftest import cycle_graph, random_connected_graph, sbm_connected_graph
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
-from oracles import fd_grad
+from oracles import fd_grad, total_loss
 
 from fracgcl import training
-from fracgcl.diagnostics import ProbeConfig
 from fracgcl.encoder import EncoderBank, EncoderParams, encoder_forward, init_bank
 from fracgcl.graphs import eigendecompose, normalized_laplacian
-from fracgcl.losses import (
-    DegenerateEmbeddingError,
-    NoSpectralGapError,
-    dominant_direction,
-    total_loss,
-)
+from fracgcl.losses import DegenerateEmbeddingError, NoSpectralGapError, dominant_direction
 from fracgcl.solver import _diffusion_filter
-from fracgcl.training import (
-    TrainConfig,
-    avla,
-    grad_loss,
-    merge_alphas,
-    tune_beta,
-)
+from fracgcl.training import TrainConfig, avla, grad_loss, merge_alphas
 
 
 @pytest.fixture(scope="module")
@@ -425,48 +413,3 @@ class TestAvla:
         ):
             avla(cyc10_basis, x, cfg, horizon=2.0, alpha_init=[0.3, 0.9])
 
-
-def _beta_fixture(noise_scale, seed=0):
-    """Two views over 40 nodes: label-aligned blobs and pure noise."""
-    rng = np.random.default_rng(seed)
-    labels = np.array([0] * 20 + [1] * 20)
-    signal = np.where(labels[:, None] == 0, 1.0, -1.0) + rng.normal(0, 0.05, (40, 3))
-    noise = rng.normal(0, noise_scale, (40, 3))
-    perm = rng.permutation(40)
-    val = perm[:16].tolist()
-    return [signal, noise], labels, val
-
-
-class TestTuneBeta:
-    def test_dominant_view_gets_all_weight(self):
-        views, labels, val = _beta_fixture(noise_scale=500.0)
-        beta = tune_beta(views, labels, val, ProbeConfig(epochs=120))
-        assert beta[0] == 1.0
-        assert beta[1] == 0.0
-
-    def test_identical_views_tie_break_to_uniform(self):
-        rng = np.random.default_rng(1)
-        y = rng.normal(size=(30, 3)) + np.array([0] * 15 + [4] * 15)[:, None]
-        labels = np.array([0] * 15 + [1] * 15)
-        val = list(range(0, 30, 3))
-        beta = tune_beta([y, y.copy()], labels, val, ProbeConfig(epochs=60))
-        assert np.array_equal(beta, [0.5, 0.5])
-
-    def test_three_identical_views_near_uniform(self):
-        rng = np.random.default_rng(2)
-        y = rng.normal(size=(30, 3)) + np.array([0] * 15 + [4] * 15)[:, None]
-        labels = np.array([0] * 15 + [1] * 15)
-        val = list(range(0, 30, 3))
-        beta = tune_beta([y, y.copy(), y.copy()], labels, val, ProbeConfig(epochs=60))
-        assert np.array_equal(beta, [0.34, 0.33, 0.33])
-
-    def test_weights_live_on_the_percent_grid(self):
-        views, labels, val = _beta_fixture(noise_scale=2.0, seed=3)
-        beta = tune_beta(views, labels, val, ProbeConfig(epochs=80))
-        assert beta.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(beta * 100, np.round(beta * 100), atol=1e-9)
-
-    def test_empty_validation_rejected(self):
-        views, labels, _ = _beta_fixture(noise_scale=1.0)
-        with pytest.raises(ValueError, match="validation"):
-            tune_beta(views, labels, [], ProbeConfig())
