@@ -1,4 +1,4 @@
-"""Graph construction, normalized Laplacian, eigendecomposition, perturbation.
+"""Graph construction, normalized Laplacian, and eigendecomposition.
 
 All graphs are undirected with positive edge weights, stored as arrays of
 their canonical edges (the dense adjacency is derived on request).  The
@@ -18,7 +18,6 @@ __all__ = [
     "build_graph",
     "normalized_laplacian",
     "eigendecompose",
-    "perturb_graph",
 ]
 
 _SYM_TOL = 1e-10
@@ -167,49 +166,3 @@ def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
     vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
     return SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
 
-
-def perturb_graph(g: Graph, ratio: float, mode: str, seed: int) -> Graph:
-    """Random structural perturbation, deterministic per seed.
-
-    Modes:
-        add: insert floor(ratio * |E|) unit-weight edges among previously
-            non-adjacent pairs.
-        remove: delete floor(ratio * |E|) existing edges.
-        both: remove then add, both counts taken from the original edge set.
-
-    Args:
-        g: input graph.
-        ratio: fraction of the current edge count to touch, in [0, 1].
-        mode: "add", "remove" or "both".
-        seed: RNG seed.
-
-    Returns:
-        New Graph; the input is never mutated.
-    """
-    if not (0.0 <= ratio <= 1.0):
-        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
-    if mode not in ("add", "remove", "both"):
-        raise ValueError(f"unknown perturbation mode {mode!r}")
-    if mode in ("remove", "both") and len(g.src) == 0:
-        raise ValueError("cannot remove edges from an empty graph")
-    rng = np.random.default_rng(seed)
-    n_touch = int(ratio * len(g.src))
-    adj = g.adjacency
-
-    if mode in ("remove", "both") and n_touch > 0:
-        picks = rng.choice(len(g.src), size=n_touch, replace=False)
-        adj[g.src[picks], g.dst[picks]] = adj[g.dst[picks], g.src[picks]] = 0.0
-
-    if mode in ("add", "both") and n_touch > 0:
-        # flat row-major indices list the free pairs in triu_indices order
-        free = np.flatnonzero(np.triu(adj == 0.0, k=1))
-        if n_touch > len(free):
-            raise ValueError(
-                f"requested {n_touch} additions but only {len(free)} non-edges exist"
-            )
-        picks = free[rng.choice(len(free), size=n_touch, replace=False)]
-        src, dst = np.divmod(picks, g.n_nodes)
-        adj[src, dst] = adj[dst, src] = 1.0
-
-    rows, cols = np.nonzero(np.triu(adj > 0.0))
-    return Graph(g.n_nodes, rows, cols, adj[rows, cols])

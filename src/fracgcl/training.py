@@ -61,16 +61,19 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.k_init < 2:
             raise ValueError(f"k_init must be at least 2, got {self.k_init}")
-        if self.lr_w < 0 or self.lr_alpha < 0:
-            raise ValueError("learning rates must be nonnegative")
+        for name in ("lr_w", "lr_alpha", "eta"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # also rejects NaN
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {getattr(self, name)}"
+                )
         if self.epochs_n < 0:
             raise ValueError("epochs_n must be nonnegative")
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
-        if self.merge_delta <= 0.0:
-            raise ValueError(f"merge_delta must be positive, got {self.merge_delta}")
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not 0.0 < self.merge_delta < np.inf:
+            raise ValueError(
+                f"merge_delta must be finite and positive, got {self.merge_delta}"
+            )
 
 
 @dataclass(frozen=True)

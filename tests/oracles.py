@@ -12,7 +12,9 @@ The gradient oracle differences the value-only forward pass and loss in
 float64.  The pair-loop objective is the view-cycle loss stated one view
 pair at a time, as the trainer computed it before its views were stacked.
 `total_loss` is the loss value alone, through the trainer's stacked
-objective; it is what the gradient oracle differences.
+objective; it is what the gradient oracle differences.  The skip-sum
+coefficients are convolved at 50 digits, and the class-separation oracle
+reads the dense n x n distance matrix.
 """
 
 from __future__ import annotations
@@ -296,3 +298,51 @@ def total_loss(views, eta: float) -> float:
     mats = np.stack([_paired(v, views[0])[0] for v in views])
     axes = None if eta == 0.0 else _principal_axes(mats)
     return _objective(mats, axes, eta)[0]
+
+
+def skip_coeffs_oracle(alpha: float, n_terms: int, skips: int, dps: int = 50) -> list[float]:
+    """c_1..c_n of sum_{k=0}^{skips} u^k, u = sum_j a_j(1) x^j, truncated at x^n.
+
+    a_j(1) = (-1)^(j+1) / Gamma(1 - j alpha) are the long-time coefficients at
+    unit rate; the series products are exact polynomial convolutions in
+    arbitrary precision.
+    """
+    with mp.workdps(dps):
+        a = mp.mpf(float(alpha))
+        u = [mp.mpf(0)] + [
+            (-1) ** (j + 1) * mp.rgamma(1 - j * a) for j in range(1, n_terms + 1)
+        ]
+        total = [mp.mpf(1)] + [mp.mpf(0)] * n_terms
+        power = list(total)
+        for _ in range(skips):
+            power = [
+                mp.fsum(power[i] * u[k - i] for i in range(k + 1))
+                for k in range(n_terms + 1)
+            ]
+            total = [t + p for t, p in zip(total, power)]
+        return [float(c) for c in total[1:]]
+
+
+def rc_ratio_oracle(y, labels) -> dict:
+    """Class-separation ratios read off the dense n x n distance matrix."""
+    m = np.asarray(y, dtype=float).reshape(len(labels), -1)
+    labels = np.asarray(labels)
+    dist = np.sqrt(((m[:, None, :] - m[None, :, :]) ** 2).sum(axis=2))
+    out = {}
+    for c in np.unique(labels[labels >= 0]):
+        inside = labels == c
+        k = int(inside.sum())
+        if k < 2:
+            out[int(c)] = {"ratio": None, "flag": "skipped"}
+            continue
+        outside = ~inside
+        if not outside.any():
+            out[int(c)] = {"ratio": None, "flag": "undefined"}
+            continue
+        d_intra = float(dist[np.ix_(inside, inside)].sum()) / (k * (k - 1))
+        d_inter = float(dist[np.ix_(inside, outside)].mean())
+        if d_intra == 0.0:
+            out[int(c)] = {"ratio": None, "flag": "undefined"}
+        else:
+            out[int(c)] = {"ratio": d_inter / d_intra, "flag": "ok"}
+    return out

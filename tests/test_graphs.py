@@ -12,7 +12,6 @@ from fracgcl.graphs import (
     build_graph,
     eigendecompose,
     normalized_laplacian,
-    perturb_graph,
 )
 
 from conftest import traced_peak
@@ -279,47 +278,3 @@ class TestFourier:
         assert np.abs(basis.eigenvectors @ c - x).max() < 1e-10
         assert abs(np.linalg.norm(c) - np.linalg.norm(x)) < 1e-10
 
-
-class TestPerturb:
-    def test_ratio_zero_identical(self):
-        g = build_graph(10, cycle_edges(10))
-        g2 = perturb_graph(g, 0.0, "add", seed=1)
-        assert np.array_equal(g.adjacency, g2.adjacency)
-
-    def test_k2_add_exhausted(self):
-        g = build_graph(2, [(0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            perturb_graph(g, 1.0, "add", seed=1)
-
-    def test_cycle_add_count(self):
-        g = build_graph(10, cycle_edges(10))
-        g2 = perturb_graph(g, 0.2, "add", seed=5)
-        assert len(g2.edges) == len(g.edges) + 2
-        g3 = perturb_graph(g, 0.2, "add", seed=5)
-        assert np.array_equal(g2.adjacency, g3.adjacency)
-
-    def test_remove_count(self):
-        g = build_graph(10, cycle_edges(10))
-        g2 = perturb_graph(g, 0.3, "remove", seed=2)
-        assert len(g2.edges) == len(g.edges) - 3
-
-    def test_both_keeps_edge_count(self):
-        g = build_graph(12, cycle_edges(12))
-        g2 = perturb_graph(g, 0.25, "both", seed=3)
-        assert len(g2.edges) == len(g.edges)
-        assert not np.array_equal(g2.adjacency, g.adjacency)
-
-    def test_seed_changes_outcome(self):
-        g = build_graph(12, cycle_edges(12))
-        a = perturb_graph(g, 0.5, "add", seed=1).adjacency
-        b = perturb_graph(g, 0.5, "add", seed=2).adjacency
-        assert not np.array_equal(a, b)
-
-    def test_errors(self):
-        g = build_graph(4, cycle_edges(4))
-        with pytest.raises(ValueError):
-            perturb_graph(g, 1.5, "add", seed=0)
-        with pytest.raises(ValueError):
-            perturb_graph(g, 0.5, "sideways", seed=0)
-        with pytest.raises(ValueError):
-            perturb_graph(build_graph(3, []), 0.5, "remove", seed=0)
