@@ -12,7 +12,7 @@ from .data import Dataset, SynthSpec, load_dataset, synth_sbm
 from .encoder import EncoderBank, EncoderParams, ViewEmbedding
 from .graphs import Graph, SpectralBasis, build_graph, eigendecompose, normalized_laplacian
 from .solver import solve_caputo_pc, solve_linear_spectral
-from .special import ml, ml_asymptotic, ml_spectrum
+from .special import ml, ml_spectrum
 from .training import TrainConfig, TrainReport, avla, grad_loss
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "solve_linear_spectral",
     "ml",
     "ml_spectrum",
-    "ml_asymptotic",
     "TrainConfig",
     "TrainReport",
     "avla",

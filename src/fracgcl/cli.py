@@ -39,6 +39,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import __version__
 from . import data as dio
 from .diagnostics import (
     InitStatePerturbation,
@@ -63,8 +64,6 @@ from .encoder import (
 from .graphs import eigendecompose, normalized_laplacian
 from .solver import solve_linear_spectral
 from .training import TrainConfig, avla
-
-_VERSION = "0.1.0"
 
 
 def _field_defaults(cls) -> dict:
@@ -208,14 +207,7 @@ def _load_config(args: argparse.Namespace) -> dict:
                 cfg[key] = value
 
     if args.config is not None:
-        with open(args.config) as fh:
-            try:
-                layer = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}:{exc.lineno}: invalid JSON") from None
-        if not isinstance(layer, dict):
-            raise ValueError(f"{args.config}: top level must be an object")
-        apply(layer)
+        apply(dio._read_json_object(args.config))
     for item in args.set or ():
         apply(_parse_set_flag(item))
     flags = {"seed": args.seed, "output_dir": args.out, "threads": args.threads}
@@ -331,8 +323,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
 
 def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
     meta_path = os.path.join(bank_dir, "bank.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta = dio._read_json_object(meta_path)
     for key in ("alphas", "weight_files", "horizon", "activation"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
@@ -374,7 +365,7 @@ def cmd_probe(cfg: dict, args: argparse.Namespace) -> None:
     section = cfg["probe"]
     y = _embedding_or_features(section, ds)
     knobs = {key: value for key, value in section.items() if key != "embedding"}
-    probe_cfg = ProbeConfig(seed=cfg["seed"], **knobs)
+    probe_cfg = ProbeConfig(**knobs)
     train_acc, val_acc, test_acc = linear_probe(y, ds.labels, ds.splits, probe_cfg)
     dio.save_report(
         {
@@ -531,7 +522,7 @@ def _write_manifest(cfg: dict, command: str, started: float, capped: bool) -> No
         "seed": cfg["seed"],
         "threads_capped": capped,
         "versions": {
-            "package": _VERSION,
+            "package": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },

@@ -4,13 +4,15 @@ File formats are deliberately small and explicit:
 
 * edges: CSV with header ``src,dst,weight``, canonical edges in row-major order
 * features: CSV with header ``f0,...,f{d-1}``, one row per node in index order
-* labels: CSV with header ``node,label``; absent nodes are unlabeled (-1)
+* labels: CSV with header ``node,label``, both integers parsed like edge
+  indices; absent nodes are unlabeled (-1), and the last row of a node wins
 * splits: JSON object ``{"train": [...], "val": [...], "test": [...]}`` of
   distinct integral node indices (6.0 counts as 6; 6.9 and ``true`` do not)
 * matrices: CSV as above, or the FDMV binary layout: magic ``FDMV``,
   version u32, rows u64, cols u64, then row-major little-endian f64 payload
 
-Every parse failure, and every invalid edge, names the offending line or bytes.
+CSV fields may be quoted.  Every parse failure, and every invalid edge or
+label node, names the offending line or bytes.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ __all__ = [
 _SPLIT_NAMES = ("train", "val", "test")
 _MAGIC = b"FDMV"
 _VERSION = 1
-_EDGE_CSV = dict(dtype="i8,i8,f8", delimiter=",", comments=None, ndmin=1, unpack=True)
-_MATRIX_CSV = dict(dtype=float, delimiter=",", comments=None, quotechar='"', ndmin=2)
-# pairs per rng call in synth_sbm, and edges per chunk of an edges CSV
+_CSV = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
+# pairs per rng call in synth_sbm, and rows per chunk of a written CSV
 _SBM_DRAWS = 1 << 16
-_EDGE_CHUNK = 1 << 13
+_CSV_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +144,10 @@ class SynthSpec:
                 "feature_dim must be at least n_blocks so class means fit on "
                 "the scaled simplex"
             )
-        if self.class_mean_separation < 0 or self.noise_sigma < 0:
-            raise ValueError("separation and noise must be nonnegative")
+        for name in ("class_mean_separation", "noise_sigma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def synth_sbm(spec: SynthSpec) -> Dataset:
@@ -223,12 +226,24 @@ def _atomic_write(path: str, payload) -> None:
     os.replace(tmp, path)
 
 
+def _csv_chunks(header: str, row: str, columns):
+    """Byte chunks of a CSV file: the header line, then _CSV_CHUNK rows at a time.
+
+    ``row.format`` writes one line from one value of each column, so memory
+    stays flat however long the columns are.
+    """
+    yield f"{header}\n".encode()
+    for k in range(0, len(columns[0]) if columns else 0, _CSV_CHUNK):
+        part = (c[k : k + _CSV_CHUNK].tolist() for c in columns)
+        yield "".join(map(row.format, *part)).encode()
+
+
 def _infer_format(path: str, fmt: str | None) -> str:
     if fmt is not None:
         if fmt not in ("binary", "csv"):
             raise ValueError(f"format must be 'binary' or 'csv', got {fmt!r}")
         return fmt
-    if path.endswith((".fdmv", ".bin")):
+    if path.endswith(".fdmv"):
         return "binary"
     if path.endswith(".csv"):
         return "csv"
@@ -244,10 +259,10 @@ def save_matrix(m: np.ndarray, path: str, fmt: str | None = None) -> None:
         header = struct.pack("<4sIQQ", _MAGIC, _VERSION, arr.shape[0], arr.shape[1])
         _atomic_write(path, header + arr.astype("<f8").tobytes(order="C"))
         return
-    lines = [",".join(f"f{j}" for j in range(arr.shape[1]))]
-    for row in arr:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    width = arr.shape[1]
+    header = ",".join(f"f{j}" for j in range(width))
+    row = ",".join(["{:.17g}"] * width) + "\n"
+    _atomic_write(path, _csv_chunks(header, row, list(arr.T)))
 
 
 def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
@@ -272,21 +287,8 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
             raise ValueError(f"{path}: {len(blob) - 24 - expected} trailing bytes")
         flat = np.frombuffer(blob[24:], dtype="<f8")
         return flat.reshape(int(rows), int(cols)).copy()
-    with open(path) as fh:
-        text = fh.read()
-    if not text:
-        raise ValueError(f"{path}: empty file")
-    header, _, body = text.partition("\n")
-    names = next(csv.reader([header]))
-    width = 0 if names == [""] else len(names)
 
-    def parse(rows: list[str]) -> np.ndarray:
-        m = np.loadtxt(rows, **_MATRIX_CSV) if rows else np.zeros((0, width))
-        if m.shape != (len(rows), width) or not np.isfinite(m).all():
-            raise ValueError
-        return m
-
-    def explain(line: str) -> str:  # per-cell checks, on the first bad line only
+    def explain(line: str, width: int) -> str:  # per-cell checks, first bad line only
         row = next(csv.reader([line]))
         if len(row) != width:
             return f"expected {width} columns, got {len(row)}"
@@ -299,7 +301,8 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
                 return f"column {col}: non-finite value {cell!r}"
         return f"malformed row {line!r}"
 
-    return _parse_lines(path, body, parse, explain)[0]
+    columns, _ = _read_csv(path, None, explain)
+    return np.column_stack(columns) if columns else np.zeros((0, 0))
 
 
 def _plain(obj):
@@ -321,15 +324,46 @@ def save_report(report, path: str) -> None:
     _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _parse_lines(path: str, body: str, parse, explain):
-    """``parse`` of the nonempty lines after the header, and ``where``.
+def _read_json_object(path: str) -> dict:
+    """The JSON object in a file; errors name the file, and the line of bad JSON."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: invalid JSON") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: top level must be an object")
+    return obj
 
-    ``parse`` raises ValueError if any line is bad; only then does bisection
-    find the first bad line and raise ``file:line: explain(line)``.
-    ``where(k)`` is the file:line of the k-th parsed line.
+
+def _read_csv(path: str, header: dict | None, explain):
+    """The columns of a CSV file's nonempty body lines, and ``where``.
+
+    ``header`` maps each name the first line must hold to its column's
+    dtype; None takes any names, each a finite float column.  The lines are
+    parsed all at once; only if that fails does bisection find the first
+    bad line and raise ``file:line: explain(line, width)``.  ``where(k)``
+    is the file:line of the k-th row.
     """
+    with open(path) as fh:
+        text = fh.read()
+    if not text:
+        raise ValueError(f"{path}: empty file")
+    first, _, body = text.partition("\n")
+    names = next(csv.reader([first]), [])
+    if header is not None and names != list(header):
+        raise ValueError(f"{path}:1: expected header {','.join(header)!r}")
+    kinds = ["f8"] * len(names) if header is None else list(header.values())
+    row = np.dtype([(f"c{j}", kind) for j, kind in enumerate(kinds)])
     lines = body.split("\n")
     rows = list(filter(None, lines))  # loadtxt warns on an empty body
+
+    def parse(part: list[str]) -> list[np.ndarray]:
+        table = np.loadtxt(part, dtype=row, **_CSV) if part else np.zeros(0, row)
+        columns = [table[name] for name in row.names]
+        if header is None and not all(np.isfinite(c).all() for c in columns):
+            raise ValueError
+        return columns
 
     def where(k: int) -> str:  # runs on errors only
         return f"{path}:{2 + np.flatnonzero(list(map(len, lines)))[k]}"
@@ -345,47 +379,33 @@ def _parse_lines(path: str, body: str, parse, explain):
                 lo = mid
             except ValueError:
                 hi = mid
-        raise ValueError(f"{where(lo)}: {explain(rows[lo])}") from None
+        raise ValueError(f"{where(lo)}: {explain(rows[lo], len(kinds))}") from None
 
 
 def _read_edges(path: str, n: int) -> np.ndarray:
     """Checked (k, 3) edges of an edges CSV; errors name the first bad line."""
-    with open(path) as fh:
-        header, _, body = fh.read().partition("\n")
-    if next(csv.reader([header]), None) != ["src", "dst", "weight"]:
-        raise ValueError(f"{path}:1: expected header 'src,dst,weight'")
-
-    def parse(rows: list[str]):
-        return np.loadtxt(rows, **_EDGE_CSV) if rows else np.zeros((3, 0))
-
-    (src, dst, w), where = _parse_lines(
-        path, body, parse, lambda line: f"malformed edge {line!r}"
+    (src, dst, w), where = _read_csv(
+        path,
+        {"src": "i8", "dst": "i8", "weight": "f8"},
+        lambda line, _: f"malformed edge {line!r}",
     )
     _check_edges(n, src, dst, w, where)
     return np.column_stack((src, dst, w))
 
 
 def _read_labels(path: str, n: int) -> np.ndarray:
+    """Per-node labels of a labels CSV, -1 where no row names the node."""
+    (node, label), where = _read_csv(
+        path, {"node": "i8", "label": "i8"}, lambda line, _: f"malformed row {line!r}"
+    )
+    bad = np.flatnonzero((node < 0) | (node >= n))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"{where(k)}: node {node[k]} out of range for n={n}")
+    # the last row of each node: its first in the reversed rows
+    last = len(node) - 1 - np.unique(node[::-1], return_index=True)[1]
     labels = np.full(n, -1, dtype=int)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node", "label"]:
-            raise ValueError(f"{path}:1: expected header 'node,label'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 2 fields")
-            try:
-                node, label = int(row[0]), int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: malformed row {row!r}") from None
-            if not 0 <= node < n:
-                raise ValueError(
-                    f"{path}:{line_no}: node {node} out of range for n={n}"
-                )
-            labels[node] = label
+    labels[node[last]] = label[last]
     return labels
 
 
@@ -401,13 +421,7 @@ def load_dataset(
     n = features.shape[0]
     graph = build_graph(n, _read_edges(edge_path, n))
     labels = _read_labels(label_path, n)
-    with open(split_path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{split_path}:{exc.lineno}: invalid JSON") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{split_path}: top level must be an object")
+    raw = _read_json_object(split_path)
     try:
         splits = _check_splits(raw, n)
     except ValueError as exc:
@@ -424,18 +438,10 @@ def save_dataset(
 ) -> None:
     """Write the four-file representation read back by load_dataset."""
     g = ds.graph
-
-    def edge_lines():  # _EDGE_CHUNK edges at a time, so memory stays flat
-        yield b"src,dst,weight\n"
-        for k in range(0, len(g.src), _EDGE_CHUNK):
-            part = (a[k : k + _EDGE_CHUNK].tolist() for a in (g.src, g.dst, g.weight))
-            yield "".join(map("{},{},{:.17g}\n".format, *part)).encode()
-
-    _atomic_write(edge_path, edge_lines())
+    edges = _csv_chunks("src,dst,weight", "{},{},{:.17g}\n", [g.src, g.dst, g.weight])
+    _atomic_write(edge_path, edges)
     save_matrix(ds.features, feature_path, fmt="csv")
-    lab_lines = ["node,label"]
-    for node, label in enumerate(ds.labels):
-        lab_lines.append(f"{node},{int(label)}")
-    _atomic_write(label_path, ("\n".join(lab_lines) + "\n").encode())
+    nodes = np.arange(len(ds.labels))
+    _atomic_write(label_path, _csv_chunks("node,label", "{},{}\n", [nodes, ds.labels]))
     payload = {name: list(ds.splits.get(name, ())) for name in _SPLIT_NAMES}
     _atomic_write(split_path, (json.dumps(payload, indent=2) + "\n").encode())

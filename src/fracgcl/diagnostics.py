@@ -299,8 +299,8 @@ def check_theorem_sgi(
     """
     if not 0.0 < alpha_local < alpha_global <= 1.0:
         raise ValueError("orders must satisfy 0 < alpha_local < alpha_global <= 1")
-    if tau < 100.0:
-        raise ValueError(f"tau must be at least 100, got {tau}")
+    if not 100.0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and at least 100, got {tau}")
     if skip_count < 1:
         raise ValueError("skip_count must be at least 1")
     lam = basis.eigenvalues
@@ -383,10 +383,13 @@ class WalkConfig:
             raise ValueError(
                 "alpha must lie in (0, 1); use ctmc_walk_sim for the limit case"
             )
-        if not self.t_end >= 0:
-            raise ValueError("t_end must be nonnegative")
-        if self.delta_tau <= 0:
-            raise ValueError("delta_tau must be positive")
+        # the comparisons also reject NaN
+        if not 0.0 <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if not 0.0 < self.delta_tau < np.inf:
+            raise ValueError(
+                f"delta_tau must be finite and positive, got {self.delta_tau}"
+            )
         # up to 2^20 slots the wait guide stays under 32 MB, and float32 holds a wait
         if not self.t_end / self.delta_tau < 2**20:
             raise ValueError(
@@ -606,8 +609,9 @@ def stability_harness(
     past the fitting time.
     """
     times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times <= 0):
-        raise ValueError("t_grid must be positive times")
+    finite_positive = (times > 0) & (times < np.inf)  # False for NaN too
+    if times.ndim != 1 or times.size == 0 or not finite_positive.all():
+        raise ValueError(f"t_grid must be finite positive times, got {times.tolist()}")
     if np.any(np.diff(times) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     if np.shape(y0)[:1] != (basis.n,):

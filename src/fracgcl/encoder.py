@@ -55,10 +55,6 @@ class EncoderParams:
     def d_in(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def d_hid(self) -> int:
-        return self.weights.shape[1]
-
 
 @dataclass(frozen=True)
 class ViewEmbedding:
@@ -74,10 +70,6 @@ class ViewEmbedding:
         if not np.all(np.isfinite(m)):
             raise ValueError("embedding must be finite")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -207,8 +199,8 @@ def combine_views(views: list[ViewEmbedding], beta: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"need one weight per view: {len(views)} views, weights shape {b.shape}"
         )
-    if np.any(b < 0.0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all((b >= 0.0) & (b < np.inf)):  # the comparisons also reject NaN
+        raise ValueError(f"beta must be finite and nonnegative, got {b.tolist()}")
     if abs(b.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {b.sum():.12f}")
     mats = [np.asarray(getattr(v, "matrix", v), dtype=float) for v in views]

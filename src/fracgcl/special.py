@@ -1,9 +1,8 @@
 """Special functions for fractional calculus.
 
 Provides the Gamma function, the one-parameter Mittag-Leffler
-relaxation kernel e_alpha(lam, t) = E_alpha(-lam * t^alpha), its classical
-large-argument asymptotic expansion, and its derivative with respect to the
-order alpha.
+relaxation kernel e_alpha(lam, t) = E_alpha(-lam * t^alpha) and its
+derivative with respect to the order alpha.
 
 Gamma comes from the standard library's `math.gamma`: within 8e-16
 relative of a 40-digit mpmath Gamma on a 0.01-spaced grid over [-10, 30]
@@ -48,7 +47,6 @@ __all__ = [
     "zeta",
     "ml",
     "ml_spectrum",
-    "ml_asymptotic",
 ]
 
 
@@ -195,47 +193,9 @@ def _tail_coeffs(alpha: float, lam: float, n_terms: int) -> np.ndarray:
     """Coefficients a_1..a_n of the long-time expansion in powers of tau^-alpha.
 
     a_j = (-1)^(j+1) / (lam^j Gamma(1 - j alpha)); callers keep j alpha < 1.
+    The sign alternates as the 1/z expansion of E_alpha(-z) does; without it
+    the expansion leaves the exact kernel from the second term on.
     """
     j = np.arange(1, n_terms + 1)
     rgamma = [1.0 / math.gamma(1.0 - k * alpha) for k in j.tolist()]
     return (-1.0) ** (j + 1) * np.array(rgamma) / lam**j
-
-
-def ml_asymptotic(alpha: float, lam: float, tau: float, n_terms: int) -> float:
-    """Large-time asymptotic expansion of the Mittag-Leffler kernel.
-
-    Implements the classical expansion
-
-        e_alpha(lam, tau) ~ sum_{j=1}^{n} (-1)^(j+1) tau^(-j alpha)
-                            / (lam^j Gamma(1 - j alpha)),
-
-    valid while j*alpha < 1 for every retained term.  Note the alternating
-    sign: the terms of the 1/z expansion of E_alpha(-z) alternate, and
-    dropping the sign makes the expansion disagree with the exact kernel at
-    second order and beyond.
-
-    Args:
-        alpha: fractional order in (0, 1), strictly below 1.
-        lam: positive rate.
-        tau: positive time, large enough for the expansion to be meaningful.
-        n_terms: number of terms; n_terms * alpha must stay below 1.
-
-    Returns:
-        Truncated expansion value.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"asymptotic expansion requires alpha in (0, 1), got {alpha}")
-    if not (lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be positive, got {tau}")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if n_terms * alpha >= 1.0:
-        raise ValueError(
-            f"n_terms * alpha = {n_terms * alpha} >= 1 hits a Gamma pole; "
-            f"reduce n_terms below {1.0 / alpha}"
-        )
-    coeffs = _tail_coeffs(alpha, lam, n_terms)
-    return float(np.sum(coeffs * tau ** (-alpha * np.arange(1, n_terms + 1))))
-

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -227,6 +228,7 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 3
         assert manifest["wall_time_s"] >= 0
+        assert manifest["versions"]["package"] == fracgcl.__version__
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -325,6 +327,26 @@ class TestTrainEmbedProbe:
         err = capsys.readouterr().err
         assert rc == 1
         assert path in err and "weight_files" in err
+
+    def test_embed_names_the_line_of_a_truncated_bank_file(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        cfg = _train_config(tmp_path, dataset_dir, "run")
+        assert main(["train", "--config", cfg]) == 0
+        bank = tmp_path / "run" / "bank.json"
+        bank.write_text(bank.read_text()[:100])
+        assert main(["embed", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert re.search(rf"{re.escape(str(bank))}:\d+: invalid JSON", err), err
+
+    def test_probe_names_the_line_of_a_label_beyond_int64(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        # a label beyond int64 is a malformed row, not an uncaught OverflowError
+        (dataset_dir / "labels.csv").write_text("node,label\n0,99999999999999999999\n")
+        cfg = _train_config(tmp_path, dataset_dir, "o")
+        assert main(["probe", "--config", cfg]) == 1
+        assert f"{dataset_dir / 'labels.csv'}:2: " in capsys.readouterr().err
 
     def test_probe_on_raw_features(self, tmp_path, dataset_dir):
         cfg = _write_config(
@@ -648,6 +670,10 @@ class TestIntegralKeys:
         assert load_matrix(str(tmp_path / "o" / "distribution.csv")).shape == (6, 1)
 
 
+# list-valued keys take the non-finite value as one entry
+_NON_FINITE_FORMS = {"stability.t_grid": "[1, {0}]", "embed.beta": "[{0}, {0}]"}
+
+
 class TestFiniteSettings:
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     @pytest.mark.parametrize(
@@ -660,6 +686,13 @@ class TestFiniteSettings:
             ("probe", "probe.lr"),
             ("probe", "probe.l2_weight"),
             ("stability", "stability.eps"),
+            ("stability", "stability.t_grid"),
+            ("diagnose", "diagnose.tau"),
+            ("walk", "walk.delta_tau"),
+            ("walk", "walk.t_end"),
+            ("synth", "synth.class_mean_separation"),
+            ("synth", "synth.noise_sigma"),
+            ("embed", "embed.beta"),
         ],
     )
     def test_non_finite_value_exits_1_naming_the_key(
@@ -668,9 +701,15 @@ class TestFiniteSettings:
         # NaN slipped past each `x < 0` style check; Infinity passed as a value
         out = tmp_path / "o"
         cfg = _train_config(tmp_path, dataset_dir, "o")
+        value = _NON_FINITE_FORMS.get(key, "{0}").format(value)
         sets = [f"{key}={value}", "stability.topology=cycle", "stability.n=6"]
+        args = ["--which", "theorem"] if command == "diagnose" else []
+        if command == "embed":  # a two-encoder bank from its own run
+            bank = _train_config(tmp_path, dataset_dir, "bank")
+            assert main(["train", "--config", bank]) == 0
+            sets.append(f"embed.bank_dir={tmp_path / 'bank'}")
         flags = [arg for item in sets for arg in ("--set", item)]
-        assert main([command, "--config", cfg, *flags]) == 1
+        assert main([command, "--config", cfg, *args, *flags]) == 1
         assert f"{key.split('.')[1]} must be finite" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 

@@ -173,6 +173,24 @@ class TestSynthSbm:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == "fdc4db2e01be5870f6c7eb57579e28d4d89e8bee9d8ed9c5030861cfa1d2fef0"
 
+    def test_dataset_file_bytes_pinned_and_stable(self, tmp_path):
+        # recorded with the per-row label and matrix writers
+        expected = {
+            "e.csv": "fdc4db2e01be5870f6c7eb57579e28d4d89e8bee9d8ed9c5030861cfa1d2fef0",
+            "f.csv": "1f66a71a669b789f0a4ec8cf3cee45ee4d49f4e8e04bfa1f5930ed016129cf6e",
+            "l.csv": "3922354182f07a1bbfb442ef8a1c44da27b22ddad961b8aeafef9b3a479772d3",
+            "s.json": "bd11ae33670ed98be179497e78bcb5a6c1d07d47dd309c08d5ce09a8b6143e0c",
+        }
+        ds = synth_sbm(_spec(n=90, p_in=0.3, p_out=0.05, seed=0))
+        first = [tmp_path / f"first_{name}" for name in expected]
+        second = [tmp_path / f"second_{name}" for name in expected]
+        save_dataset(ds, *map(str, first))
+        save_dataset(load_dataset(*map(str, first)), *map(str, second))
+        for a, b, digest in zip(first, second, expected.values()):
+            blob = a.read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == digest, a.name
+            assert b.read_bytes() == blob, b.name
+
     @pytest.mark.parametrize("n, n_blocks", [(1, 1), (3, 3), (90, 3), (600, 3)])
     def test_graph_is_canonical(self, n, n_blocks):
         # synth_sbm builds its Graph from the drawn arrays, not through build_graph
@@ -291,6 +309,12 @@ class TestMatrixIO:
         save_matrix(np.zeros((0, 0)), path)
         out = load_matrix(path)
         assert out.shape == (0, 0)
+
+    @pytest.mark.parametrize("ext", ["fdmv", "csv"])
+    def test_zero_row_matrix_keeps_its_width(self, tmp_path, ext):
+        path = str(tmp_path / f"empty.{ext}")
+        save_matrix(np.zeros((0, 3)), path)
+        assert load_matrix(path).shape == (0, 3)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.fdmv"
@@ -510,6 +534,50 @@ class TestDatasetFiles:
         (tmp_path / "splits.json").write_text("{}")
         with pytest.raises(ValueError, match=r"labels\.csv:2"):
             load_dataset(e, f, l, s)
+
+    @pytest.mark.parametrize(
+        "body, labels",
+        [
+            ("0,1\n1,0\n0,2\n", [2, 0, -1]),  # the last row of a node wins
+            ('"0","1"\n', [1, -1, -1]),  # quoted fields, as csv.reader read them
+        ],
+        ids=["repeated-node", "quoted"],
+    )
+    def test_label_rows(self, tmp_path, body, labels):
+        e, f, l, s = self._paths(tmp_path)
+        (tmp_path / "edges.csv").write_text("src,dst,weight\n0,1,1.0\n")
+        (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n0.5\n")
+        (tmp_path / "labels.csv").write_text("node,label\n" + body)
+        (tmp_path / "splits.json").write_text("{}")
+        assert load_dataset(e, f, l, s).labels.tolist() == labels
+
+    def test_labels_match_a_row_loop(self, tmp_path):
+        # many repeated nodes in random order; a row loop is the reference
+        rng = np.random.default_rng(3)
+        rows = rng.integers([0, -5], [12, 5], size=(300, 2)).tolist()
+        expected = [-1] * 15
+        for node, label in rows:
+            expected[node] = label
+        e, f, l, s = self._paths(tmp_path)
+        (tmp_path / "edges.csv").write_text("src,dst,weight\n")
+        save_matrix(np.zeros((15, 1)), f)
+        (tmp_path / "labels.csv").write_text(
+            "node,label\n" + "".join(f"{a},{b}\n" for a, b in rows)
+        )
+        (tmp_path / "splits.json").write_text("{}")
+        assert load_dataset(e, f, l, s).labels.tolist() == expected
+
+    @pytest.mark.parametrize("row", ["0,99999999999999999999", "0,1,2", "0,1.5", "0"])
+    def test_bad_label_row_names_file_and_line(self, tmp_path, row):
+        e, f, l, s = self._paths(tmp_path)
+        (tmp_path / "edges.csv").write_text("src,dst,weight\n0,1,1.0\n")
+        (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n")
+        # a blank line and a later node out of range: the first bad line is named
+        (tmp_path / "labels.csv").write_text(f"node,label\n0,1\n\n{row}\n7,0\n")
+        (tmp_path / "splits.json").write_text("{}")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(e, f, l, s)
+        assert str(exc.value).startswith(f"{l}:4: malformed row")
 
     def test_overlapping_split_file(self, tmp_path):
         e, f, l, s = self._paths(tmp_path)
