@@ -10,7 +10,15 @@ line (`cli`).
 
 from .data import Dataset, SynthSpec, load_dataset, synth_sbm
 from .encoder import EncoderBank, EncoderParams, ViewEmbedding
-from .graphs import Graph, SpectralBasis, build_graph, eigendecompose, normalized_laplacian
+from .graphs import (
+    Graph,
+    LaplacianRows,
+    SpectralBasis,
+    build_graph,
+    eigendecompose,
+    laplacian_rows,
+    normalized_laplacian,
+)
 from .solver import solve_caputo_pc, solve_linear_spectral
 from .special import ml, ml_spectrum
 from .training import TrainConfig, TrainReport, avla, grad_loss
@@ -26,9 +34,11 @@ __all__ = [
     "EncoderParams",
     "ViewEmbedding",
     "Graph",
+    "LaplacianRows",
     "SpectralBasis",
     "build_graph",
     "eigendecompose",
+    "laplacian_rows",
     "normalized_laplacian",
     "solve_caputo_pc",
     "solve_linear_spectral",

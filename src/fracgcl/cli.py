@@ -18,8 +18,9 @@ and ``ProbeConfig``.  Every run writes ``manifest.json`` with the sha256 of
 the merged configuration minus ``output_dir`` and ``threads``, the seed,
 library versions, wall time, and whether a ``--threads`` cap took effect.
 ``train`` and ``embed`` diffuse through the Krylov filter of the normalized
-Laplacian, with no eigendecomposition; ``train`` writes the losses, order
-traces and merges to ``report.json``.  Sizes, counts and indices must be
+Laplacian's edge rows (``graphs.LaplacianRows``), with no eigendecomposition
+and no n x n array; ``train`` writes the losses, order traces and merges to
+``report.json``.  Sizes, counts and indices must be
 integral (``6.0`` is 6; ``6.9`` and ``true`` are rejected, naming the key).
 All files are written atomically and only inside the output directory.
 
@@ -61,7 +62,7 @@ from .encoder import (
     bank_forward,
     combine_views,
 )
-from .graphs import eigendecompose, normalized_laplacian
+from .graphs import eigendecompose, laplacian_rows, normalized_laplacian
 from .solver import solve_linear_spectral
 from .training import TrainConfig, avla
 
@@ -300,9 +301,9 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
     horizon = float(section.pop("horizon"))
     d_hid = section.pop("d_hid")
     activation = section.pop("activation")
-    # the Krylov filter of the Laplacian: no eigendecomposition
+    # the Krylov filter of the Laplacian's rows: no eigendecomposition
     _, _, bank, report = avla(
-        normalized_laplacian(ds.graph),
+        laplacian_rows(ds.graph),
         ds.features,
         TrainConfig(seed=cfg["seed"], **section),
         horizon,
@@ -321,20 +322,42 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
         dio.save_matrix(enc.weights, _out_path(cfg, f"w{k}.fdmv"))
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number (Python counts booleans as ints)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
     meta_path = os.path.join(bank_dir, "bank.json")
     meta = dio._read_json_object(meta_path)
     for key in ("alphas", "weight_files", "horizon", "activation"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
-    if len(meta["alphas"]) != len(meta["weight_files"]):
+    alphas, files, horizon = meta["alphas"], meta["weight_files"], meta["horizon"]
+    checks = {
+        "alphas": (
+            isinstance(alphas, list) and all(map(_is_number, alphas)),
+            "a list of numbers",
+        ),
+        "weight_files": (
+            isinstance(files, list) and all(isinstance(f, str) for f in files),
+            "a list of file names",
+        ),
+        "horizon": (
+            _is_number(horizon) and 0.0 < horizon < np.inf,
+            "a finite positive number",
+        ),
+        "activation": (isinstance(meta["activation"], str), "a string"),
+    }
+    for key, (ok, kind) in checks.items():
+        if not ok:
+            raise ValueError(f"{meta_path}: {key!r} must be {kind}, got {meta[key]!r}")
+    if len(alphas) != len(files):
         raise ValueError(f"{meta_path}: alphas and weight_files differ in length")
     encoders = []
-    for alpha, fname in zip(meta["alphas"], meta["weight_files"]):
+    for alpha, fname in zip(alphas, files):
         w = dio.load_matrix(os.path.join(bank_dir, fname))
-        encoders.append(
-            EncoderParams(weights=w, alpha=alpha, horizon=meta["horizon"])
-        )
+        encoders.append(EncoderParams(weights=w, alpha=alpha, horizon=horizon))
     return EncoderBank(encoders=tuple(encoders)), meta["activation"]
 
 
@@ -342,7 +365,7 @@ def cmd_embed(cfg: dict, args: argparse.Namespace) -> None:
     bank_dir = cfg["embed"]["bank_dir"] or cfg["output_dir"]
     bank, activation = _load_bank(bank_dir)
     ds = _load_dataset(cfg)
-    lap = normalized_laplacian(ds.graph)
+    lap = laplacian_rows(ds.graph)
     views = bank_forward(lap, ds.features, bank, activation=activation)
     beta = cfg["embed"]["beta"]
     if beta is None:

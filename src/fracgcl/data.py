@@ -9,7 +9,8 @@ File formats are deliberately small and explicit:
 * splits: JSON object ``{"train": [...], "val": [...], "test": [...]}`` of
   distinct integral node indices (6.0 counts as 6; 6.9 and ``true`` do not)
 * matrices: CSV as above, or the FDMV binary layout: magic ``FDMV``,
-  version u32, rows u64, cols u64, then row-major little-endian f64 payload
+  version u32, rows u64, cols u64, then row-major little-endian f64 payload;
+  rows without columns need FDMV, since CSV readers skip blank lines
 
 CSV fields may be quoted.  Every parse failure, and every invalid edge or
 label node, names the offending line or bytes.
@@ -21,6 +22,7 @@ import csv
 import json
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -260,6 +262,11 @@ def save_matrix(m: np.ndarray, path: str, fmt: str | None = None) -> None:
         _atomic_write(path, header + arr.astype("<f8").tobytes(order="C"))
         return
     width = arr.shape[1]
+    if width == 0 and len(arr):
+        # the reader skips blank lines, so a CSV body has no rows without columns
+        raise ValueError(
+            f"{path}: a CSV cannot hold {len(arr)} rows of 0 columns; use .fdmv"
+        )
     header = ",".join(f"f{j}" for j in range(width))
     row = ",".join(["{:.17g}"] * width) + "\n"
     _atomic_write(path, _csv_chunks(header, row, list(arr.T)))
@@ -340,46 +347,53 @@ def _read_csv(path: str, header: dict | None, explain):
     """The columns of a CSV file's nonempty body lines, and ``where``.
 
     ``header`` maps each name the first line must hold to its column's
-    dtype; None takes any names, each a finite float column.  The lines are
-    parsed all at once; only if that fails does bisection find the first
-    bad line and raise ``file:line: explain(line, width)``.  ``where(k)``
-    is the file:line of the k-th row.
+    dtype; None takes any names, each a finite float column.  The body is
+    parsed straight from the open file; only if that fails are its lines
+    split, and bisection finds the first bad line to raise
+    ``file:line: explain(line, width)``.  ``where(k)`` is the file:line of
+    the k-th row; it reads the file again, so errors alone pay for it.
     """
     with open(path) as fh:
-        text = fh.read()
-    if not text:
-        raise ValueError(f"{path}: empty file")
-    first, _, body = text.partition("\n")
-    names = next(csv.reader([first]), [])
-    if header is not None and names != list(header):
-        raise ValueError(f"{path}:1: expected header {','.join(header)!r}")
-    kinds = ["f8"] * len(names) if header is None else list(header.values())
-    row = np.dtype([(f"c{j}", kind) for j, kind in enumerate(kinds)])
-    lines = body.split("\n")
-    rows = list(filter(None, lines))  # loadtxt warns on an empty body
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        names = next(csv.reader([first.rstrip("\n")]), [])
+        if header is not None and names != list(header):
+            raise ValueError(f"{path}:1: expected header {','.join(header)!r}")
+        kinds = ["f8"] * len(names) if header is None else list(header.values())
+        row = np.dtype([(f"c{j}", kind) for j, kind in enumerate(kinds)])
 
-    def parse(part: list[str]) -> list[np.ndarray]:
-        table = np.loadtxt(part, dtype=row, **_CSV) if part else np.zeros(0, row)
-        columns = [table[name] for name in row.names]
-        if header is None and not all(np.isfinite(c).all() for c in columns):
-            raise ValueError
-        return columns
+        def parse(part) -> list[np.ndarray]:
+            with warnings.catch_warnings():  # an empty body is no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(part, dtype=row, **_CSV)
+            columns = [table[name] for name in row.names]
+            if header is None and not all(np.isfinite(c).all() for c in columns):
+                raise ValueError
+            return columns
 
-    def where(k: int) -> str:  # runs on errors only
-        return f"{path}:{2 + np.flatnonzero(list(map(len, lines)))[k]}"
+        try:
+            return parse(fh), lambda k: f"{path}:{_body_lines(path)[0][k]}"
+        except ValueError:
+            pass
+    lines, rows = _body_lines(path)
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(rows[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    raise ValueError(f"{path}:{lines[lo]}: {explain(rows[lo], len(kinds))}") from None
 
-    try:
-        return parse(rows), where
-    except ValueError:
-        lo, hi = 0, len(rows)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                parse(rows[lo:mid])
-                lo = mid
-            except ValueError:
-                hi = mid
-        raise ValueError(f"{where(lo)}: {explain(rows[lo], len(kinds))}") from None
+
+def _body_lines(path: str) -> tuple[np.ndarray, list[str]]:
+    """The file line number of each nonempty body line of a CSV, and the lines."""
+    with open(path) as fh:
+        body = fh.read().split("\n")[1:]
+    numbers = 2 + np.flatnonzero(list(map(len, body)))
+    return numbers, [body[i - 2] for i in numbers]
 
 
 def _read_edges(path: str, n: int) -> np.ndarray:

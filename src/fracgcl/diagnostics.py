@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _plain
-from .graphs import Graph, SpectralBasis
+from .graphs import Graph, SpectralBasis, _rows
 from .solver import _diffusion_filter, skip_multiplier
 from .special import _tail_coeffs, gamma, ml_spectrum, zeta
 
@@ -422,12 +422,8 @@ def _neighbor_rows(g: Graph):
     Row v of the adjacency's nonzeros holds v plus its cumulative weights over
     v's degree, so v + u, u in [0, 1), rounds into [v, v + 1] < 2^bit_length(n).
     """
-    off = g.src != g.dst
-    src, dst = np.concatenate((g.src, g.dst[off])), np.concatenate((g.dst, g.src[off]))
-    order = np.argsort(src * g.n_nodes + dst)
-    src, dst = src[order], dst[order]
-    weight = np.concatenate((g.weight, g.weight[off]))[order]
-    indptr = np.searchsorted(src, np.arange(g.n_nodes + 1))
+    dst, weight, indptr = _rows(g, g.weight)
+    src = np.repeat(np.arange(g.n_nodes), np.diff(indptr))
     # each row's shares sum to 1, so a large row cannot swamp a later small one
     cum = np.cumsum(weight / g.degrees()[src])
     cum -= np.concatenate(([0.0], cum))[indptr[src]]

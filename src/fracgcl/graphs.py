@@ -4,6 +4,10 @@ All graphs are undirected with positive edge weights, stored as arrays of
 their canonical edges (the dense adjacency is derived on request).  The
 Laplacian uses symmetric normalization, which keeps the eigenbasis
 orthonormal; isolated nodes get an identity row (their signals never diffuse).
+It comes in two forms with the same entries: the dense n x n matrix that
+`eigendecompose` takes, and `LaplacianRows`, the identity plus each node's
+edge entries sorted by column (CSR), whose `@` costs O(edges) memory and
+time and serves the Krylov filter.
 """
 
 from __future__ import annotations
@@ -15,12 +19,16 @@ import numpy as np
 __all__ = [
     "Graph",
     "SpectralBasis",
+    "LaplacianRows",
     "build_graph",
     "normalized_laplacian",
+    "laplacian_rows",
     "eigendecompose",
 ]
 
 _SYM_TOL = 1e-10
+# rows per gather in LaplacianRows @ Y, which bounds its temporaries
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,25 +128,109 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n, src, dst, w[keep])
 
 
+def _edge_terms(g: Graph) -> np.ndarray:
+    """Each edge's entry of L off the identity: (-s_i w s_j + -s_j w s_i) / 2
+    with s = D^(-1/2), exactly symmetric in i and j."""
+    deg = g.degrees()
+    inv_sqrt = np.zeros_like(deg)
+    nz = deg > 0.0
+    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+    s_i, s_j, w = inv_sqrt[g.src], inv_sqrt[g.dst], g.weight
+    return (-s_i * w * s_j + -s_j * w * s_i) / 2.0
+
+
+def _rows(g: Graph, per_edge: np.ndarray):
+    """Both directions of every edge, sorted by (row, column): each entry's
+    column, its edge's value in `per_edge`, and the row pointers.  A
+    self-loop appears once.
+
+    The canonical edges are the upper entries, already row-major; a stable
+    sort of the lower ones by row keeps their columns ascending, and each
+    row holds its lower entries (columns below the row) before its upper ones.
+    """
+    n, m = g.n_nodes, len(g.src)
+    off = np.flatnonzero(g.src != g.dst)
+    # the smallest integer type that holds a node index sorts by radix
+    lower = off[np.argsort(g.dst[off].astype(np.min_scalar_type(n)), kind="stable")]
+    n_low = np.bincount(g.dst[off], minlength=n)
+    n_up = np.bincount(g.src, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(n_low + n_up, out=indptr[1:])
+    # an entry's slot is its row's start plus its rank among the row's lower
+    # entries, or plus the row's lower count and its rank among the upper ones
+    low_start = indptr[:-1] - np.cumsum(n_low) + n_low
+    low_at = np.arange(len(lower)) + low_start[g.dst[lower]]
+    up_at = np.arange(m) + (indptr[1:] - np.cumsum(n_up))[g.src]
+    cols = np.empty(indptr[-1], dtype=np.intp)
+    vals = np.empty(indptr[-1], dtype=per_edge.dtype)
+    cols[low_at], cols[up_at] = g.src[lower], g.dst
+    vals[low_at], vals[up_at] = per_edge[lower], per_edge
+    return cols, vals, indptr
+
+
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Symmetrically normalized Laplacian I - D^(-1/2) A D^(-1/2).
 
     Rows and columns of degree-zero nodes reduce to the identity row.  One
     n x n allocation holds -0.0 (that is -s_i 0 s_j) off the edges, and each
-    edge gets the exactly symmetric (-s_i w s_j + -s_j w s_i) / 2.
+    edge gets its `_edge_terms` entry.
     """
-    deg = g.degrees()
-    inv_sqrt = np.zeros_like(deg)
-    nz = deg > 0.0
-    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     lap = np.full((g.n_nodes, g.n_nodes), -0.0)
     np.fill_diagonal(lap, 1.0)
-    s_i, s_j, w = inv_sqrt[g.src], inv_sqrt[g.dst], g.weight
-    term = (-s_i * w * s_j + -s_j * w * s_i) / 2.0
+    term = _edge_terms(g)
     # a self-loop's weight is in both A and D: its term joins the diagonal 1
     term = np.where(g.src == g.dst, 1.0 + term, term)
     lap[g.src, g.dst] = lap[g.dst, g.src] = term
     return lap
+
+
+@dataclass(frozen=True, eq=False)
+class LaplacianRows:
+    """The normalized Laplacian as I plus its edge entries, row by row (CSR).
+
+    Row i's entries off the identity are `vals[indptr[i]:indptr[i + 1]]` at
+    columns `cols` of the same span, ascending: the `_edge_terms` of every
+    edge at i, a self-loop's without its diagonal 1.  `L @ Y` is Y plus
+    each row's sum of vals * Y[cols], gathered _ROW_BLOCK rows at a time,
+    so no n x n array exists.  Compare by identity, as graphs do.
+    """
+
+    indptr: np.ndarray  # (n + 1,) intp
+    cols: np.ndarray  # (nnz,) intp
+    vals: np.ndarray  # (nnz,) float
+
+    ndim = 2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.indptr) - 1
+        return n, n
+
+    def __matmul__(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        n, ptr = self.shape[0], self.indptr
+        if y.ndim == 0 or len(y) != n:
+            raise ValueError(f"cannot multiply {self.shape} rows by shape {y.shape}")
+        # one feature per row, so that the gather, the scaling and the row
+        # sums run along contiguous memory
+        yt = np.ascontiguousarray(y.reshape(n, -1).T)
+        out = yt.copy()
+        for r0 in range(0, n, _ROW_BLOCK):
+            r1 = min(r0 + _ROW_BLOCK, n)
+            # consecutive starts of the nonempty rows bound each row's span
+            full = r0 + np.flatnonzero(ptr[r0 + 1 : r1 + 1] > ptr[r0:r1])
+            if len(full):
+                a, b = ptr[r0], ptr[r1]
+                terms = np.take(yt, self.cols[a:b], axis=1)
+                terms *= self.vals[a:b]
+                out[:, full] += np.add.reduceat(terms, ptr[full] - a, axis=1)
+        return out.T.reshape(y.shape)
+
+
+def laplacian_rows(g: Graph) -> LaplacianRows:
+    """`normalized_laplacian(g)` as `LaplacianRows`, in O(edges) memory."""
+    cols, vals, indptr = _rows(g, _edge_terms(g))
+    return LaplacianRows(indptr, cols, vals)
 
 
 def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:

@@ -11,12 +11,16 @@ Every f(L) Y goes through one diffusion filter, f(L) Y = V (f(theta) * C),
 built once per graph operator and state for any f sampled at its nodes
 theta: e_alpha(., T), or for the encoder's views the kernel and its order
 derivative.  A `SpectralBasis` gives its eigenpairs and
-C = V^T Y.  A dense Laplacian gives the Ritz pairs of its block-Krylov space
-span{Y, L Y, ..., L^(m-1) Y} from block Lanczos (Golub & Underwood, 1977):
+C = V^T Y.  A Laplacian, dense or as `graphs.LaplacianRows`, gives the Ritz
+pairs of its block-Krylov space span{Y, L Y, ..., L^(m-1) Y} from block
+Lanczos (Golub & Underwood, 1977):
 with T = Q^T L Q = S diag(theta) S^T, V = Q S and C = S^T Q^T Y, so the
 filter is Q f(T) Q^T Y (Saad, SIAM J. Numer. Anal. 29, 1992), and its order
 derivative is exact because Q does not depend on the order.  It takes m
-products with L and no eigendecomposition.  On the benchmark pipeline's
+products L @ Q, the only use of L, and no eigendecomposition; through
+`LaplacianRows` each costs O(edges x F) and no n x n array exists.  The
+basis holds (m + 1) n F floats, so very wide features (F in the thousands)
+are out of its scope.  On the benchmark pipeline's
 2000-node graph m is 15 at T = 20 and 12 to 15 over T in [0.01, 1e4]; at 15
 orders in [1e-4, 1] both filters agree within 7e-13 relative up to T = 100,
 and within 2.3e-13 of the largest value at every T.
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SpectralBasis
+from .graphs import LaplacianRows, SpectralBasis
 from .special import gamma, ml_spectrum
 
 __all__ = [
@@ -98,7 +102,7 @@ def _orthonormal(block: np.ndarray, scale: float):
     return u[:, keep], s[keep, None] * vt[keep]
 
 
-def _krylov_filter(lap: np.ndarray, y: np.ndarray, horizon: float) -> _DiffusionFilter:
+def _krylov_filter(lap, y: np.ndarray, horizon: float) -> _DiffusionFilter:
     """Ritz pairs of L on the block-Krylov space of Y (see the module docstring).
 
     Each block is reorthogonalised against the basis twice; T grows by the
@@ -146,7 +150,8 @@ def _krylov_filter(lap: np.ndarray, y: np.ndarray, horizon: float) -> _Diffusion
 
 
 def _diffusion_filter(operator, state: np.ndarray, horizon: float) -> _DiffusionFilter:
-    """The filter of a `SpectralBasis` or a dense Laplacian for state Y.
+    """The filter of a `SpectralBasis`, `LaplacianRows` or a dense Laplacian
+    for state Y.
 
     `state` is n_nodes x F.  A Laplacian's Krylov filter settles at
     `horizon` and serves shorter ones; an asymmetric or indefinite operator,
@@ -155,7 +160,9 @@ def _diffusion_filter(operator, state: np.ndarray, horizon: float) -> _Diffusion
     if isinstance(operator, SpectralBasis):
         n = operator.n
     else:
-        lap = np.asarray(operator, dtype=float)
+        lap = operator
+        if not isinstance(lap, LaplacianRows):
+            lap = np.asarray(lap, dtype=float)
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
             raise ValueError("laplacian must be a square matrix")
         n = lap.shape[0]

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import fracgcl.cli
 import fracgcl.graphs
@@ -313,6 +314,35 @@ class TestTrainEmbedProbe:
         err = capsys.readouterr().err
         assert rc == 1
         assert path in err and "'alphas'" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alphas", 0.5),
+            ("alphas", [0.5, "x"]),
+            ("weight_files", "w0.fdmv"),
+            ("weight_files", ["w0.fdmv", 1]),
+            ("horizon", "x"),
+            ("horizon", True),
+            ("horizon", -2.0),
+            ("horizon", float("inf")),
+            ("activation", 1),
+        ],
+    )
+    def test_embed_names_bank_key_of_wrong_type(
+        self, tmp_path, dataset_dir, capsys, key, value
+    ):
+        meta = {
+            "alphas": [0.2, 0.8],
+            "horizon": 2.0,
+            "activation": "relu",
+            "weight_files": ["w0.fdmv", "w1.fdmv"],
+            key: value,
+        }
+        rc, path = self._embed_with_bank(tmp_path, dataset_dir, meta)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {path}: {key!r} must be " in err
 
     def test_embed_rejects_more_alphas_than_weight_files(
         self, tmp_path, dataset_dir, capsys
@@ -750,6 +780,22 @@ class TestChebyshevPath:
         assert rel(load_matrix(str(out / "combined.fdmv")), combined) < 1e-9
 
 
+    def test_train_and_embed_allocate_no_n_by_n_array(self, tmp_path):
+        # the benchmark pipeline's chain at n = 1500: through the dense
+        # Laplacian train peaked above n x n x 8 bytes (42.3 MB at n = 2000)
+        n = 1500
+        synth = {"n": n, "n_blocks": 2, "p_in": 0.02, "p_out": 0.1, "feature_dim": 8}
+        synth.update(class_mean_separation=0.36, noise_sigma=1.0)
+        sets = [f"synth.{key}={value}" for key, value in synth.items()]
+        argv = ["synth", "--out", str(tmp_path / "data"), "--seed", "1"]
+        assert main([*argv, *[arg for s in sets for arg in ("--set", s)]]) == 0
+        train = {"k_init": 5, "epochs_n": 1, "horizon": 20.0}
+        cfg = _train_config(tmp_path, tmp_path / "data", "run", **train)
+        for command in ("train", "embed"):
+            rc, peak = traced_peak(lambda: main([command, "--config", cfg]))
+            assert rc == 0 and peak < n * n * 8, (command, peak)
+
+
 class TestManifestHash:
     def _hash(self, tmp_path, name, extra_args=()):
         out = tmp_path / name
@@ -835,9 +881,10 @@ def _scipy_modules_of_run(argv):
 def test_train_and_walk_load_no_scipy(tmp_path, dataset_dir):
     # each run in a fresh interpreter; the walk's zeta(1 + alpha) is fracgcl's own
     cfg = _train_config(tmp_path, dataset_dir)
-    assert _scipy_modules_of_run(["train", "--config", cfg]) == []
-    versions = _read_json(tmp_path / "run" / "manifest.json")["versions"]
-    assert "scipy" not in versions
+    for command in ("train", "embed"):
+        assert _scipy_modules_of_run([command, "--config", cfg]) == []
+        versions = _read_json(tmp_path / "run" / "manifest.json")["versions"]
+        assert "scipy" not in versions
     walk = {"topology": "cycle", "n": 6, "alpha": 0.5, "t_end": 0.5}
     walk.update(delta_tau=0.02, n_walkers=200)
     cfg = _write_config(

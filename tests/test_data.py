@@ -19,6 +19,7 @@ from fracgcl.data import (
     synth_path,
     synth_sbm,
 )
+from fracgcl.data import _read_edges
 from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian
 
 
@@ -316,6 +317,15 @@ class TestMatrixIO:
         save_matrix(np.zeros((0, 3)), path)
         assert load_matrix(path).shape == (0, 3)
 
+    def test_zero_column_rows_need_the_binary_layout(self, tmp_path):
+        # a CSV body of k empty rows reads as no rows, so the writer refuses
+        path = str(tmp_path / "z.csv")
+        with pytest.raises(ValueError, match=r"z\.csv: .*3 rows of 0 columns.*\.fdmv"):
+            save_matrix(np.zeros((3, 0)), path)
+        assert not (tmp_path / "z.csv").exists()
+        save_matrix(np.zeros((3, 0)), str(tmp_path / "z.fdmv"))
+        assert load_matrix(str(tmp_path / "z.fdmv")).shape == (3, 0)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.fdmv"
         save_matrix(np.ones((2, 2)), str(path))
@@ -422,6 +432,18 @@ class TestDatasetFiles:
         expected = "src,dst,weight\n" + "".join(f"{s},{d},{w:.17g}\n" for s, d, w in rows)
         with open(paths[0], "rb") as fh:
             assert fh.read() == expected.encode()
+
+    def test_edges_parse_from_the_open_file(self, tmp_path):
+        # 120k edges: parsing the file's split lines peaked at 5.1 times the
+        # (k, 3) result, parsing from the open file at 2.0 times
+        spec = _spec(n=2000, n_blocks=2, p_in=0.02, p_out=0.1, feature_dim=8, seed=0)
+        ds = synth_sbm(spec)
+        paths = self._paths(tmp_path)
+        save_dataset(ds, *paths)
+        edges, peak = traced_peak(lambda: _read_edges(paths[0], 2000))
+        g = ds.graph
+        assert np.array_equal(edges, np.column_stack((g.src, g.dst, g.weight)))
+        assert peak < 3 * edges.nbytes
 
     def test_roundtrip_equality(self, tmp_path):
         ds = synth_sbm(_spec())

@@ -15,7 +15,12 @@ from fracgcl.encoder import (
     init_bank,
     init_encoder_params,
 )
-from fracgcl.graphs import build_graph, eigendecompose, normalized_laplacian
+from fracgcl.graphs import (
+    build_graph,
+    eigendecompose,
+    laplacian_rows,
+    normalized_laplacian,
+)
 from fracgcl.solver import _diffusion_filter
 from fracgcl.special import ml, ml_spectrum
 from fracgcl.training import TrainConfig
@@ -233,9 +238,10 @@ def filter_pairs(krylov, spectral, horizon, orders=ORDERS):
         )
 
 
-def krylov_and_eigenbasis(lap, x, horizon):
-    """filter_pairs of the Krylov and eigenbasis filters, both built at `horizon`."""
-    krylov = _diffusion_filter(lap, x, horizon)
+def krylov_and_eigenbasis(lap, x, horizon, operator=None):
+    """filter_pairs of the Krylov filter of `operator` (by default the dense
+    `lap`) and the eigenbasis filter of `lap`, both built at `horizon`."""
+    krylov = _diffusion_filter(lap if operator is None else operator, x, horizon)
     spectral = _diffusion_filter(eigendecompose(lap), x, horizon)
     return filter_pairs(krylov, spectral, horizon)
 
@@ -249,8 +255,8 @@ def assert_within_1e_12_of_the_largest(pairs):
         assert err < 1e-12 * max(np.abs(wants[i]).max() for _, wants in pairs)
 
 
-def assert_matches_eigenbasis(lap, x, horizon=20.0):
-    for gots, wants in krylov_and_eigenbasis(lap, x, horizon):
+def assert_matches_eigenbasis(lap, x, horizon=20.0, operator=None):
+    for gots, wants in krylov_and_eigenbasis(lap, x, horizon, operator):
         for name, got, want in zip(("P", "dP/dalpha"), gots, wants):
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 1e-9, (name, rel)
@@ -260,10 +266,18 @@ class TestFeatureFilter:
     """The Krylov filter of the Laplacian against the eigenbasis filter."""
 
     @pytest.fixture(scope="class")
-    def graph_and_features(self):
-        g = sbm_connected_graph(60, 3, 0.3, 0.03, seed=71)
+    def sbm60(self):
+        return sbm_connected_graph(60, 3, 0.3, 0.03, seed=71)
+
+    @pytest.fixture(scope="class")
+    def graph_and_features(self, sbm60):
         x = np.random.default_rng(73).normal(size=(60, 5))
-        return normalized_laplacian(g), x
+        return normalized_laplacian(sbm60), x
+
+    @pytest.fixture(scope="class")
+    def rows(self, sbm60):
+        # graph_and_features' Laplacian as train and embed build it
+        return laplacian_rows(sbm60)
 
     @pytest.fixture(scope="class")
     def pipeline_graph(self):
@@ -273,20 +287,24 @@ class TestFeatureFilter:
             class_mean_separation=0.36, noise_sigma=1.0, seed=1,
         )
         ds = data.synth_sbm(spec)
-        return normalized_laplacian(ds.graph), ds.features
+        return normalized_laplacian(ds.graph), ds.features, laplacian_rows(ds.graph)
 
     @pytest.mark.parametrize("horizon", [2.0, 20.0, 100.0])
-    def test_chebyshev_matches_eigenbasis(self, graph_and_features, horizon):
+    def test_chebyshev_matches_eigenbasis(self, graph_and_features, rows, horizon):
         # named for the filter that the Krylov one replaced; same 1e-9 bound
-        assert_matches_eigenbasis(*graph_and_features, horizon)
+        for operator in (None, rows):
+            assert_matches_eigenbasis(*graph_and_features, horizon, operator)
 
     @pytest.mark.parametrize("horizon", [300.0, 1e3, 1e4])
     def test_long_horizons_match_within_1e_12_of_the_largest(
-        self, graph_and_features, horizon
+        self, graph_and_features, rows, horizon
     ):
         # at long horizons dP/dalpha at order 1 is about exp(-T lam_2), so a
         # relative error measures only rounding: judge by the largest value
-        assert_within_1e_12_of_the_largest(krylov_and_eigenbasis(*graph_and_features, horizon))
+        for operator in (None, rows):
+            assert_within_1e_12_of_the_largest(
+                krylov_and_eigenbasis(*graph_and_features, horizon, operator)
+            )
 
     @pytest.fixture(scope="class")
     def block_model_300(self):
@@ -297,19 +315,21 @@ class TestFeatureFilter:
         )
         ds = data.synth_sbm(spec)
         lap = normalized_laplacian(ds.graph)
-        return lap, ds.features, _diffusion_filter(eigendecompose(lap), ds.features, 0.0)
+        spectral = _diffusion_filter(eigendecompose(lap), ds.features, 0.0)
+        return (lap, laplacian_rows(ds.graph)), ds.features, spectral
 
     @pytest.mark.parametrize("built_at", [20.0, 1e3])
     def test_serves_every_shorter_horizon(self, block_model_300, built_at):
         # grad_loss and bank_forward build one filter at the longest horizon
-        lap, x, spectral = block_model_300
-        krylov = _diffusion_filter(lap, x, built_at)
+        operators, x, spectral = block_model_300
         orders = np.geomspace(1e-4, 1.0, 15)
-        for used_at in (1e-4, 0.01, 1.0, 5.0, 20.0, 100.0, 1e3):
-            if used_at <= built_at:
-                assert_within_1e_12_of_the_largest(
-                    filter_pairs(krylov, spectral, used_at, orders)
-                )
+        for operator in operators:
+            krylov = _diffusion_filter(operator, x, built_at)
+            for used_at in (1e-4, 0.01, 1.0, 5.0, 20.0, 100.0, 1e3):
+                if used_at <= built_at:
+                    assert_within_1e_12_of_the_largest(
+                        filter_pairs(krylov, spectral, used_at, orders)
+                    )
 
     def test_zero_state_gives_zeros(self, graph_and_features):
         lap, x = graph_and_features
@@ -361,18 +381,20 @@ class TestFeatureFilter:
             _diffusion_filter(skewed, x, 20.0)
 
     def test_pipeline_graph_takes_at_most_20_products(self, pipeline_graph):
-        lap, x = pipeline_graph
-        filt = _diffusion_filter(lap, x, 20.0)
-        # random features deflate nothing, so each product adds F columns
-        assert filt.vectors.shape[1] % x.shape[1] == 0
-        assert filt.vectors.shape[1] <= 20 * x.shape[1]
+        lap, x, rows = pipeline_graph
+        for operator in (lap, rows):
+            filt = _diffusion_filter(operator, x, 20.0)
+            # random features deflate nothing, so each product adds F columns
+            assert filt.vectors.shape[1] % x.shape[1] == 0
+            assert filt.vectors.shape[1] <= 20 * x.shape[1]
 
     def test_build_peak_is_a_few_bases(self, pipeline_graph):
-        # measured 2.4 times the kept Ritz vectors; an n x n temporary would
-        # be 16 times
-        lap, x = pipeline_graph
-        filt, peak = traced_peak(lambda: _diffusion_filter(lap, x, 20.0))
-        assert peak < 3.0 * filt.vectors.nbytes
+        # measured 2.4 times the kept Ritz vectors, dense or by rows; an n x n
+        # temporary would be 16 times
+        lap, x, rows = pipeline_graph
+        for operator in (lap, rows):
+            filt, peak = traced_peak(lambda: _diffusion_filter(operator, x, 20.0))
+            assert peak < 3.0 * filt.vectors.nbytes
 
     def test_block_cap_is_named(self, graph_and_features, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_BLOCKS", 2)
@@ -395,12 +417,13 @@ class TestFeatureFilter:
     ):
         assert_within_1e_12_of_the_largest(krylov_and_eigenbasis(*graph_and_features, 1e5))
 
-    @pytest.mark.parametrize("operator", ["basis", "laplacian"])
-    def test_value_only_apply_matches_the_pair(self, graph_and_features, operator):
+    @pytest.mark.parametrize("operator", ["basis", "laplacian", "rows"])
+    def test_value_only_apply_matches_the_pair(
+        self, graph_and_features, rows, operator
+    ):
         lap, x = graph_and_features
-        filt = _diffusion_filter(
-            eigendecompose(lap) if operator == "basis" else lap, x, 20.0
-        )
+        forms = {"basis": eigendecompose(lap), "laplacian": lap, "rows": rows}
+        filt = _diffusion_filter(forms[operator], x, 20.0)
         for alpha in (TrainConfig.clip_eps, 0.3, 1.0):
             value, deriv = ml_spectrum(alpha, filt.nodes, 20.0)
             got = filt.apply(value)
@@ -414,10 +437,11 @@ class TestFeatureFilter:
         x = rng.normal(size=(12, 4))
         bank = init_bank(4, 4, [0.05, 0.5, 1.0], horizon=20.0, rng=rng)
         want = bank_forward(eigendecompose(lap), x, bank)
-        got = bank_forward(lap, x, bank)
-        for v_want, v_got in zip(want, got):
-            assert v_got.source_alpha == v_want.source_alpha
-            assert np.max(np.abs(v_got.matrix - v_want.matrix)) < 1e-12
+        for operator in (lap, laplacian_rows(g)):
+            got = bank_forward(operator, x, bank)
+            for v_want, v_got in zip(want, got):
+                assert v_got.source_alpha == v_want.source_alpha
+                assert np.max(np.abs(v_got.matrix - v_want.matrix)) < 1e-12
 
     def test_operator_shape_checked(self):
         p = EncoderParams(weights=np.eye(3), alpha=0.5, horizon=1.0)

@@ -11,10 +11,18 @@ from oracles import fd_grad, total_loss
 
 from fracgcl import training
 from fracgcl.encoder import EncoderBank, EncoderParams, encoder_forward, init_bank
-from fracgcl.graphs import eigendecompose, normalized_laplacian
+from fracgcl.graphs import eigendecompose, laplacian_rows, normalized_laplacian
 from fracgcl.losses import DegenerateEmbeddingError, NoSpectralGapError, dominant_direction
 from fracgcl.solver import _diffusion_filter
 from fracgcl.training import TrainConfig, avla, grad_loss, merge_alphas
+
+
+def operator_of(g, form):
+    """The eigenbasis ("basis"), the dense Laplacian ("laplacian") or its rows."""
+    if form == "rows":
+        return laplacian_rows(g)
+    lap = normalized_laplacian(g)
+    return eigendecompose(lap) if form == "basis" else lap
 
 
 @pytest.fixture(scope="module")
@@ -157,13 +165,12 @@ class TestGradLoss:
         n=6, alphas=[1e-4, 1.0], d_in=2, width=2, horizon=2.0, eta=0.5,
         activation="relu", seed=4,
     )
-    # the eigenbasis filter, and the Krylov filter of the Laplacian
-    @pytest.mark.parametrize("operator", ["basis", "laplacian"])
+    # the eigenbasis filter, and the Krylov filter of the Laplacian and its rows
+    @pytest.mark.parametrize("operator", ["basis", "laplacian", "rows"])
     def test_analytic_matches_finite_difference_on_random_banks(
         self, operator, n, alphas, d_in, width, horizon, eta, activation, seed
     ):
-        lap = normalized_laplacian(random_connected_graph(n, 0.5, seed))
-        op = eigendecompose(lap) if operator == "basis" else lap
+        op = operator_of(random_connected_graph(n, 0.5, seed), operator)
         rng = np.random.default_rng([seed, 1])
         x = rng.normal(size=(n, d_in))
         bank = EncoderBank(
@@ -188,11 +195,10 @@ class TestGradLoss:
         assert _max_tensor_gap(ga, gf) < 1e-7
 
     # a batched path that assumed one horizon for the bank would fail here
-    @pytest.mark.parametrize("operator", ["basis", "laplacian"])
+    @pytest.mark.parametrize("operator", ["basis", "laplacian", "rows"])
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     def test_mixed_horizons_match_finite_difference(self, operator, eta):
-        lap = normalized_laplacian(random_connected_graph(12, 0.35, seed=6))
-        op = eigendecompose(lap) if operator == "basis" else lap
+        op = operator_of(random_connected_graph(12, 0.35, seed=6), operator)
         rng = np.random.default_rng(106)
         x = rng.normal(size=(12, 4))
         bank = EncoderBank(
@@ -221,11 +227,10 @@ class TestGradLoss:
 
 
 class TestLossAndGrads:
-    @pytest.mark.parametrize("operator", ["basis", "laplacian"])
+    @pytest.mark.parametrize("operator", ["basis", "laplacian", "rows"])
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_loss_is_total_loss_of_its_views(self, operator, eta, monkeypatch):
-        lap = normalized_laplacian(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2))
-        op = eigendecompose(lap) if operator == "basis" else lap
+        op = operator_of(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2), operator)
         x = np.random.default_rng(5).normal(size=(24, 4))
         rng = np.random.default_rng(6)
         w_list = [rng.uniform(-1, 1, (4, 3)) for _ in range(3)]
@@ -249,8 +254,7 @@ class TestAvla:
     @staticmethod
     def pinned_run(operator):
         """A run with one merge and ReLU-dead rows in its views."""
-        lap = normalized_laplacian(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2))
-        op = eigendecompose(lap) if operator == "basis" else lap
+        op = operator_of(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2), operator)
         x = np.random.default_rng(5).normal(size=(24, 4))
         cfg = TrainConfig(
             k_init=4, epochs_n=6, lr_w=0.05, lr_alpha=0.05, merge_delta=0.3, seed=3
@@ -284,14 +288,16 @@ class TestAvla:
         assert h.hexdigest() == digest
         assert report.losses[-1] == pytest.approx(last_loss, rel=1e-15, abs=0.0)
         if operator == "laplacian":
-            # the Krylov filter's run agrees with the eigenbasis run
+            # the Krylov filter's runs, dense and by rows, agree with the
+            # eigenbasis run
             want_finals, want_bank, want_report = self.pinned_run("basis")
-            assert np.abs(np.subtract(finals, want_finals)).max() < 1e-12
-            for got, want in zip(bank.encoders, want_bank.encoders):
-                assert np.abs(got.weights - want.weights).max() < 1e-12
-            assert report.losses[-1] == pytest.approx(
-                want_report.losses[-1], rel=1e-13, abs=0.0
-            )
+            for finals, bank, report in ((finals, bank, report), self.pinned_run("rows")):
+                assert np.abs(np.subtract(finals, want_finals)).max() < 1e-12
+                for got, want in zip(bank.encoders, want_bank.encoders):
+                    assert np.abs(got.weights - want.weights).max() < 1e-12
+                assert report.losses[-1] == pytest.approx(
+                    want_report.losses[-1], rel=1e-13, abs=0.0
+                )
 
     def test_separated_orders_terminate_in_one_round(self, cyc10_basis):
         x = np.random.default_rng(0).normal(size=(10, 3))
