@@ -336,8 +336,10 @@ def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
     alphas, files, horizon = meta["alphas"], meta["weight_files"], meta["horizon"]
     checks = {
         "alphas": (
-            isinstance(alphas, list) and all(map(_is_number, alphas)),
-            "a list of numbers",
+            isinstance(alphas, list)
+            and all(_is_number(a) and 0.0 < a <= 1.0 for a in alphas)
+            and alphas == sorted(alphas),
+            "a list of ascending numbers in (0, 1]",
         ),
         "weight_files": (
             isinstance(files, list) and all(isinstance(f, str) for f in files),

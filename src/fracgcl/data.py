@@ -344,14 +344,14 @@ def _read_json_object(path: str) -> dict:
 
 
 def _read_csv(path: str, header: dict | None, explain):
-    """The columns of a CSV file's nonempty body lines, and ``where``.
+    """The columns of a CSV file's nonempty body records, and ``where``.
 
     ``header`` maps each name the first line must hold to its column's
     dtype; None takes any names, each a finite float column.  The body is
-    parsed straight from the open file; only if that fails are its lines
-    split, and bisection finds the first bad line to raise
-    ``file:line: explain(line, width)``.  ``where(k)`` is the file:line of
-    the k-th row; it reads the file again, so errors alone pay for it.
+    parsed straight from the open file; only if that fails is it split into
+    records, and bisection finds the first bad one to raise
+    ``file:line: explain(record, width)``.  ``where(k)`` is the file:line
+    of the k-th row's start; it reads the file again, so only errors pay.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -389,11 +389,25 @@ def _read_csv(path: str, header: dict | None, explain):
 
 
 def _body_lines(path: str) -> tuple[np.ndarray, list[str]]:
-    """The file line number of each nonempty body line of a CSV, and the lines."""
+    """The file line number of each nonempty body record of a CSV, and the records.
+
+    A quoted field may span lines, as loadtxt reads it, so csv.reader marks
+    where each record starts.  A quote left open past csv's field size limit
+    makes each remaining line a record of its own.
+    """
     with open(path) as fh:
         body = fh.read().split("\n")[1:]
-    numbers = 2 + np.flatnonzero(list(map(len, body)))
-    return numbers, [body[i - 2] for i in numbers]
+    reader = csv.reader(body)
+    spans, start = [], 0  # each record's first line and the line past it
+    try:
+        for record in reader:
+            if record:
+                spans.append((start, reader.line_num))
+            start = reader.line_num
+    except csv.Error:
+        spans += [(i, i + 1) for i in range(start, len(body)) if body[i]]
+    rows = ["\n".join(body[a:b]) for a, b in spans]
+    return 2 + np.array([a for a, _ in spans], dtype=int), rows
 
 
 def _read_edges(path: str, n: int) -> np.ndarray:

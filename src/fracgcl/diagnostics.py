@@ -11,13 +11,14 @@ fractional diffusion solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
 
 from .data import _plain
 from .graphs import Graph, SpectralBasis, _rows
 from .solver import _diffusion_filter, skip_multiplier
-from .special import _tail_coeffs, gamma, ml_spectrum, zeta
+from .special import _tail_coeffs, ml_spectrum, zeta
 
 __all__ = [
     "ProbeConfig",

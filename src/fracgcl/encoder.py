@@ -169,8 +169,7 @@ def encoder_forward(
     """Project, diffuse to the horizon, and activate.
 
     Computes sigma(f(L) X W) with f = e_alpha(., T), through the filter of
-    `operator`: a `SpectralBasis`, or the normalized Laplacian dense or as
-    `LaplacianRows`.
+    `operator`: a `SpectralBasis` or `LaplacianRows`.
     """
     return _views(operator, features, [params], activation)[0]
 

@@ -1,13 +1,12 @@
 """Graph construction, normalized Laplacian, and eigendecomposition.
 
 All graphs are undirected with positive edge weights, stored as arrays of
-their canonical edges (the dense adjacency is derived on request).  The
-Laplacian uses symmetric normalization, which keeps the eigenbasis
-orthonormal; isolated nodes get an identity row (their signals never diffuse).
-It comes in two forms with the same entries: the dense n x n matrix that
-`eigendecompose` takes, and `LaplacianRows`, the identity plus each node's
-edge entries sorted by column (CSR), whose `@` costs O(edges) memory and
-time and serves the Krylov filter.
+their canonical edges.  The Laplacian uses symmetric normalization, which
+keeps the eigenbasis orthonormal; isolated nodes get an identity row (their
+signals never diffuse).  It comes in two forms with the same entries: the
+dense n x n matrix that `eigendecompose` takes, and `LaplacianRows`, the
+identity plus each node's edge entries sorted by column (CSR), whose `@`
+costs O(edges) memory and time and serves the Krylov filter.
 """
 
 from __future__ import annotations
@@ -45,13 +44,6 @@ class Graph:
     src: np.ndarray  # (m,) intp
     dst: np.ndarray  # (m,) intp
     weight: np.ndarray  # (m,) float
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric (n, n) adjacency, built anew on every access."""
-        adj = np.zeros((self.n_nodes, self.n_nodes))
-        adj[self.src, self.dst] = adj[self.dst, self.src] = self.weight
-        return adj
 
     @property
     def edges(self) -> tuple:
@@ -198,8 +190,6 @@ class LaplacianRows:
     indptr: np.ndarray  # (n + 1,) intp
     cols: np.ndarray  # (nnz,) intp
     vals: np.ndarray  # (nnz,) float
-
-    ndim = 2
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -10,30 +10,29 @@ is given by its per-frequency multiplier, a geometric sum.
 Every f(L) Y goes through one diffusion filter, f(L) Y = V (f(theta) * C),
 built once per graph operator and state for any f sampled at its nodes
 theta: e_alpha(., T), or for the encoder's views the kernel and its order
-derivative.  A `SpectralBasis` gives its eigenpairs and
-C = V^T Y.  A Laplacian, dense or as `graphs.LaplacianRows`, gives the Ritz
-pairs of its block-Krylov space span{Y, L Y, ..., L^(m-1) Y} from block
-Lanczos (Golub & Underwood, 1977):
+derivative.  A `SpectralBasis` gives its eigenpairs and C = V^T Y.  A
+`graphs.LaplacianRows` gives the Ritz pairs of its block-Krylov space
+span{Y, L Y, ..., L^(m-1) Y} from block Lanczos (Golub & Underwood, 1977):
 with T = Q^T L Q = S diag(theta) S^T, V = Q S and C = S^T Q^T Y, so the
 filter is Q f(T) Q^T Y (Saad, SIAM J. Numer. Anal. 29, 1992), and its order
 derivative is exact because Q does not depend on the order.  It takes m
-products L @ Q, the only use of L, and no eigendecomposition; through
-`LaplacianRows` each costs O(edges x F) and no n x n array exists.  The
-basis holds (m + 1) n F floats, so very wide features (F in the thousands)
-are out of its scope.  On the benchmark pipeline's
-2000-node graph m is 15 at T = 20 and 12 to 15 over T in [0.01, 1e4]; at 15
-orders in [1e-4, 1] both filters agree within 7e-13 relative up to T = 100,
-and within 2.3e-13 of the largest value at every T.
+products L @ Q, the only use of L, and no eigendecomposition; each costs
+O(edges x F) and no n x n array exists.  The basis holds (m + 1) n F floats,
+so very wide features (F in the thousands) are out of its scope.  On the
+benchmark pipeline's 2000-node graph m is 15 at T = 20 and 12 to 15 over T
+in [0.01, 1e4]; at 15 orders in [1e-4, 1] both filters agree within 7e-13
+relative up to T = 100, and within 2.3e-13 of the largest value at every T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
 
 from .graphs import LaplacianRows, SpectralBasis
-from .special import gamma, ml_spectrum
+from .special import ml_spectrum
 
 __all__ = [
     "Trajectory",
@@ -150,29 +149,28 @@ def _krylov_filter(lap, y: np.ndarray, horizon: float) -> _DiffusionFilter:
 
 
 def _diffusion_filter(operator, state: np.ndarray, horizon: float) -> _DiffusionFilter:
-    """The filter of a `SpectralBasis`, `LaplacianRows` or a dense Laplacian
-    for state Y.
+    """The filter of a `SpectralBasis` or `LaplacianRows` for state Y.
 
-    `state` is n_nodes x F.  A Laplacian's Krylov filter settles at
+    `state` is n_nodes x F.  The Krylov filter of the rows settles at
     `horizon` and serves shorter ones; an asymmetric or indefinite operator,
     or a horizon that is negative or not finite, raises ValueError.
     """
     if isinstance(operator, SpectralBasis):
         n = operator.n
+    elif isinstance(operator, LaplacianRows):
+        n = operator.shape[0]
     else:
-        lap = operator
-        if not isinstance(lap, LaplacianRows):
-            lap = np.asarray(lap, dtype=float)
-        if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-            raise ValueError("laplacian must be a square matrix")
-        n = lap.shape[0]
+        raise TypeError(
+            "operator must be a SpectralBasis or LaplacianRows, "
+            f"got {type(operator).__name__}"
+        )
     y = np.asarray(state, dtype=float)
     if y.ndim != 2 or y.shape[0] != n:
         raise ValueError(f"state must be n_nodes x F with n_nodes={n}, got {y.shape}")
     if isinstance(operator, SpectralBasis):
         u = operator.eigenvectors
         return _DiffusionFilter(operator.eigenvalues, u.T @ y, u)
-    return _krylov_filter(lap, y, horizon)
+    return _krylov_filter(operator, y, horizon)
 
 
 def solve_linear_spectral(

@@ -1,17 +1,15 @@
 """Special functions for fractional calculus.
 
-Provides the Gamma function, the one-parameter Mittag-Leffler
-relaxation kernel e_alpha(lam, t) = E_alpha(-lam * t^alpha) and its
-derivative with respect to the order alpha.
+Provides the one-parameter Mittag-Leffler relaxation kernel
+e_alpha(lam, t) = E_alpha(-lam * t^alpha), its derivative with respect to
+the order alpha, and the Riemann zeta function.
 
-Gamma comes from the standard library's `math.gamma`: within 8e-16
-relative of a 40-digit mpmath Gamma on a 0.01-spaced grid over [-10, 30]
-away from the poles.  The Riemann zeta function `zeta(s)`, for real s > 1,
-sums its first nine terms and adds the Euler-Maclaurin tail from N = 10
-with seven Bernoulli corrections (DLMF 25.2.9): within 2.1e-16 relative of
-a 40-digit mpmath zeta at 805 orders s = 1 + alpha, alpha in [1e-6, 1],
-and zeta(2) = pi^2/6 exactly.  No code path of this module, and with it
-`fracgcl`, loads scipy; only the tracer-only `quad` name below needs it.
+The Riemann zeta function `zeta(s)`, for real s > 1, sums its first nine
+terms and adds the Euler-Maclaurin tail from N = 10 with seven Bernoulli
+corrections (DLMF 25.2.9): within 2.1e-16 relative of a 40-digit mpmath
+zeta at 805 orders s = 1 + alpha, alpha in [1e-6, 1], and zeta(2) = pi^2/6
+exactly.  No code path of this module, and with it `fracgcl`, loads scipy;
+only the tracer-only `quad` name below needs it.
 
 The kernel has one evaluator, `ml_spectrum`, vectorized over rates.  It
 inverts the Laplace transform F(s) = s^(alpha-1) / (s^alpha + lam) on the
@@ -43,7 +41,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "gamma",
     "zeta",
     "ml",
     "ml_spectrum",
@@ -71,26 +68,6 @@ def _talbot_contour(m: int) -> tuple[np.ndarray, np.ndarray]:
 # (up to e^8) amplify: 16 nodes leave 2e-11 value error, 24 leave 8e-13.
 _NODES, _WEIGHTS = _talbot_contour(20)
 _LOG_NODES = np.log(_NODES)
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the real line away from the poles.
-
-    Args:
-        x: evaluation point; must not be zero or a negative integer.
-
-    Returns:
-        Gamma(x) to close to machine precision.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("gamma: argument must be finite")
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma: pole at nonpositive integer x={x}")
-    try:
-        return math.gamma(x)
-    except OverflowError:  # |Gamma(x)| exceeds the double range
-        return math.copysign(math.inf, x)
 
 
 # B_2k / (2k)! for k = 1..7: the Euler-Maclaurin corrections of `zeta`

@@ -145,9 +145,8 @@ def grad_loss(
     """Gradients of the total contrastive loss over all bank parameters.
 
     Chains the loss through the activation, the projection, and the
-    features-side filter of `operator` (a `SpectralBasis`, or the normalized
-    Laplacian dense or as `LaplacianRows`), whose order sensitivity comes
-    from ml_spectrum.
+    features-side filter of `operator` (a `SpectralBasis` or
+    `LaplacianRows`), whose order sensitivity comes from ml_spectrum.
     Raises FloatingPointError if the loss or any gradient is non-finite.
     """
     horizons = [p.horizon for p in bank.encoders]
@@ -212,9 +211,8 @@ def avla(
     """Adaptive view training: train, merge close orders, retrain.
 
     Returns (k_final, final alphas ascending, trained bank, TrainReport).
-    `operator` is a `SpectralBasis`, or the normalized Laplacian dense or as
-    `LaplacianRows`; its
-    features-side filter is built once and serves every round.  Initial
+    `operator` is a `SpectralBasis` or `LaplacianRows`; its features-side
+    filter is built once and serves every round.  Initial
     orders default to a log-uniform draw over [0.01, 1]; weight draws and
     merge survivor choices consume independent seeded streams so one cannot
     perturb the other.

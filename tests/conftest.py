@@ -4,13 +4,27 @@ import tracemalloc
 
 import numpy as np
 
-from fracgcl.graphs import build_graph
+from fracgcl.graphs import (
+    build_graph,
+    eigendecompose,
+    laplacian_rows,
+    normalized_laplacian,
+)
 
-from oracles import component_count
+from oracles import component_count, dense_adjacency
 
 
 def cycle_graph(n):
     return build_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def operator_of(g, form):
+    """The filter operator of g's Laplacian: its eigenbasis ("basis") or its
+    edge rows ("rows")."""
+    if form == "rows":
+        return laplacian_rows(g)
+    assert form == "basis", form
+    return eigendecompose(normalized_laplacian(g))
 
 
 def random_connected_graph(n, p, seed):
@@ -21,7 +35,7 @@ def random_connected_graph(n, p, seed):
             (i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]
         g = build_graph(n, edges)
-        if component_count(g.adjacency) == 1:
+        if component_count(dense_adjacency(g)) == 1:
             return g
     raise RuntimeError("could not draw a connected graph; raise p")
 
@@ -42,7 +56,7 @@ def sbm_connected_graph(n, n_blocks, p_in, p_out, seed):
                 if rng.random() < p:
                     edges.append((i, j, 1.0))
         g = build_graph(n, edges)
-        if component_count(g.adjacency) == 1:
+        if component_count(dense_adjacency(g)) == 1:
             return g
     raise RuntimeError("could not draw a connected SBM; raise p_in/p_out")
 

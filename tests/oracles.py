@@ -76,16 +76,6 @@ def dml_oracle(alpha: float, lam: float, t: float, dps: int = 40) -> float:
         return float(mp.diff(f, mp.mpf(float(alpha))))
 
 
-def digamma_oracle(x: float, dps: int = 40) -> float:
-    with mp.workdps(dps):
-        return float(mp.digamma(mp.mpf(float(x))))
-
-
-def gamma_oracle(x: float, dps: int = 40) -> float:
-    with mp.workdps(dps):
-        return float(mp.gamma(mp.mpf(float(x))))
-
-
 def zeta_oracle(s: float, dps: int = 40) -> float:
     """Riemann zeta at the double s, in arbitrary precision (mpmath's own method)."""
     with mp.workdps(dps):
@@ -155,6 +145,13 @@ def adjacency_oracle(n: int, edge_list) -> list[list[float]]:
     for (src, dst), w in directed.items():
         adj[src][dst] = max(w, directed.get((dst, src), 0.0))
         adj[dst][src] = adj[src][dst]
+    return adj
+
+
+def dense_adjacency(g) -> np.ndarray:
+    """Dense symmetric (n, n) adjacency of a graph's canonical edge arrays."""
+    adj = np.zeros((g.n_nodes, g.n_nodes))
+    adj[g.src, g.dst] = adj[g.dst, g.src] = g.weight
     return adj
 
 

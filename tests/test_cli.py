@@ -316,6 +316,24 @@ class TestTrainEmbedProbe:
         assert path in err and "'alphas'" in err
 
     @pytest.mark.parametrize(
+        "alphas", [[2.0, 3.0], [0.8, 0.2]], ids=["out-of-range", "descending"]
+    )
+    def test_embed_names_bank_orders_out_of_range_or_order(
+        self, tmp_path, dataset_dir, capsys, alphas
+    ):
+        meta = {
+            "alphas": alphas,
+            "horizon": 2.0,
+            "activation": "relu",
+            "weight_files": ["w0.fdmv", "w1.fdmv"],
+        }
+        rc, path = self._embed_with_bank(tmp_path, dataset_dir, meta)
+        err = capsys.readouterr().err
+        assert rc == 1
+        kind = "a list of ascending numbers in (0, 1]"
+        assert f"error: {path}: 'alphas' must be {kind}" in err
+
+    @pytest.mark.parametrize(
         "key, value",
         [
             ("alphas", 0.5),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 from conftest import traced_peak
-from oracles import component_count
+from oracles import component_count, dense_adjacency
 
 from fracgcl.data import (
     Dataset,
@@ -136,7 +136,7 @@ class TestSynthSpec:
 def _dataset_digest(ds):
     h = hashlib.sha256()
     for arr in (
-        ds.graph.adjacency,
+        dense_adjacency(ds.graph),
         np.asarray(ds.graph.edges, dtype=float),
         ds.features,
         ds.labels.astype(np.int64),
@@ -231,7 +231,7 @@ class TestSynthSbm:
         # p_in=1, p_out=0 gives one complete component per block, so the
         # normalized Laplacian has a zero eigenvalue per block.
         ds = synth_sbm(_spec(n=30, n_blocks=3, p_in=1.0, p_out=0.0))
-        assert component_count(ds.graph.adjacency) == 3
+        assert component_count(dense_adjacency(ds.graph)) == 3
 
     def test_noise_free_features_sit_on_means(self):
         ds = synth_sbm(_spec(noise_sigma=0.0, class_mean_separation=3.0))
@@ -242,7 +242,7 @@ class TestSynthSbm:
 
     def test_equal_probabilities_give_near_zero_modularity(self):
         ds = synth_sbm(_spec(n=120, n_blocks=3, p_in=0.15, p_out=0.15, seed=3))
-        adj = ds.graph.adjacency
+        adj = dense_adjacency(ds.graph)
         deg = adj.sum(axis=1)
         two_m = deg.sum()
         same = ds.labels[:, None] == ds.labels[None, :]
@@ -257,18 +257,19 @@ class TestTopologyGenerators:
 
     def test_path2_is_single_edge(self):
         g = synth_path(2)
-        assert np.array_equal(g.adjacency, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert g.n_nodes == 2 and g.edges == ((0, 1, 1.0),)
 
     def test_grid22_is_cycle4_up_to_relabeling(self):
         grid = synth_grid(2, 2)
         cyc = synth_cycle(4)
         perm = [0, 1, 3, 2]
-        assert np.array_equal(grid.adjacency[np.ix_(perm, perm)], cyc.adjacency)
+        relabeled = dense_adjacency(grid)[np.ix_(perm, perm)]
+        assert np.array_equal(relabeled, dense_adjacency(cyc))
 
     def test_grid_shape_and_degrees(self):
         g = synth_grid(3, 5)
         assert g.n_nodes == 15
-        deg = g.adjacency.sum(axis=1)
+        deg = dense_adjacency(g).sum(axis=1)
         assert deg.min() == 2 and deg.max() == 4
 
     @pytest.mark.parametrize("make", [synth_cycle, synth_path])
@@ -450,7 +451,7 @@ class TestDatasetFiles:
         paths = self._paths(tmp_path)
         save_dataset(ds, *paths)
         back = load_dataset(*paths)
-        assert np.array_equal(back.graph.adjacency, ds.graph.adjacency)
+        assert back.graph.edges == ds.graph.edges
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
         assert back.splits == ds.splits
@@ -463,7 +464,7 @@ class TestDatasetFiles:
         (tmp_path / "splits.json").write_text('{"train": [0], "test": [1]}')
         ds = load_dataset(e, f, l, s)
         assert ds.graph.n_nodes == 2
-        assert ds.graph.adjacency[0, 1] == 2.5
+        assert dense_adjacency(ds.graph)[0, 1] == 2.5
         assert ds.labels.tolist() == [1, -1]
         assert ds.splits == {"train": (0,), "val": (), "test": (1,)}
 
@@ -526,6 +527,42 @@ class TestDatasetFiles:
             load_dataset(e, f, l, s)
         assert str(exc.value).startswith(f"{e}:{bad_line}: malformed edge")
 
+    @pytest.mark.parametrize(
+        "file, body, reason",
+        [
+            ("edges.csv", "src,dst,weight\n{}5,1,1.0\n", "exceeds node count 3"),
+            ("edges.csv", "src,dst,weight\n{}5,x,1.0\n", "malformed edge"),
+            ("labels.csv", "node,label\n{}5,1\n", "node 5 out of range"),
+        ],
+        ids=["edge-range", "edge-malformed", "label-range"],
+    )
+    def test_quoted_line_break_keeps_line_numbers(self, tmp_path, file, body, reason):
+        # loadtxt reads the quoted "0\n" as one field, so lines 2-3 hold one row
+        # and the bad row, the third, is on line 5
+        e, f, l, s = self._paths(tmp_path)
+        rows = '"0\n",1,1.0\n1,2,1.0\n' if file == "edges.csv" else '"0\n",1\n1,2\n'
+        (tmp_path / "edges.csv").write_text("src,dst,weight\n")
+        (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n0.5\n")
+        (tmp_path / "labels.csv").write_text("node,label\n")
+        (tmp_path / "splits.json").write_text("{}")
+        (tmp_path / file).write_text(body.format(rows))
+        with pytest.raises(ValueError) as exc:
+            load_dataset(e, f, l, s)
+        assert str(exc.value).startswith(f"{tmp_path / file}:5: ")
+        assert reason in str(exc.value)
+
+    def test_unclosed_quote_names_its_line(self, tmp_path):
+        # the quote runs on past csv.reader's field size limit (131072 characters)
+        e, f, l, s = self._paths(tmp_path)
+        body = '0,1,1.0\n"0,1,1.0\n' + "0,1,1.0\n" * 20000
+        (tmp_path / "edges.csv").write_text("src,dst,weight\n" + body)
+        (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n")
+        (tmp_path / "labels.csv").write_text("node,label\n")
+        (tmp_path / "splits.json").write_text("{}")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(e, f, l, s)
+        assert str(exc.value).startswith(f"{e}:3: malformed edge")
+
     def test_crlf_blank_lines_and_empty_body(self, tmp_path):
         e, f, l, s = self._paths(tmp_path)
         (tmp_path / "features.csv").write_text("f0\n1.0\n-1.0\n0.5\n")
@@ -546,7 +583,7 @@ class TestDatasetFiles:
             "src,dst,weight\n0,1,0.10000000000000001\n"
             "1,2,0.33333333333333331\n2,2,2.5e-300\n"
         )
-        assert np.array_equal(load_dataset(*paths).graph.adjacency, g.adjacency)
+        assert load_dataset(*paths).graph.edges == g.edges
 
     def test_label_for_unknown_node(self, tmp_path):
         e, f, l, s = self._paths(tmp_path)

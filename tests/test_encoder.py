@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, sbm_connected_graph, traced_peak
+from conftest import (
+    operator_of,
+    random_connected_graph,
+    sbm_connected_graph,
+    traced_peak,
+)
 from fracgcl import data, solver
 from fracgcl.encoder import (
     EncoderBank,
@@ -15,19 +20,10 @@ from fracgcl.encoder import (
     init_bank,
     init_encoder_params,
 )
-from fracgcl.graphs import (
-    build_graph,
-    eigendecompose,
-    laplacian_rows,
-    normalized_laplacian,
-)
+from fracgcl.graphs import LaplacianRows, build_graph, laplacian_rows
 from fracgcl.solver import _diffusion_filter
 from fracgcl.special import ml, ml_spectrum
 from fracgcl.training import TrainConfig
-
-
-def decomposed(g):
-    return eigendecompose(normalized_laplacian(g))
 
 
 def pca_effective_rank(y, theta=0.9):
@@ -93,7 +89,7 @@ class TestParamTypes:
 class TestForward:
     def test_vanishing_horizon_is_identity(self):
         g = random_connected_graph(8, 0.4, seed=3)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(5)
         x = rng.normal(size=(8, 8))
         p = EncoderParams(weights=np.eye(8), alpha=1.0, horizon=1e-9)
@@ -102,7 +98,7 @@ class TestForward:
 
     def test_identical_params_identical_output(self):
         g = random_connected_graph(8, 0.4, seed=3)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(7)
         x = rng.normal(size=(8, 5))
         w = rng.normal(size=(5, 5))
@@ -115,7 +111,7 @@ class TestForward:
     def test_constant_frequency_passes_untouched(self):
         # e_alpha(0, T) = 1, so input in the lambda=0 direction is preserved
         g = random_connected_graph(10, 0.4, seed=9)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(11)
         u1 = basis.eigenvectors[:, 0]
         w_row = rng.normal(size=4)
@@ -128,7 +124,7 @@ class TestForward:
 
     def test_preactivation_linearity(self):
         g = random_connected_graph(9, 0.4, seed=13)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(17)
         xa = rng.normal(size=(9, 6))
         xb = rng.normal(size=(9, 6))
@@ -143,7 +139,7 @@ class TestForward:
 
     def test_frequency_energy_ratio_nonincreasing(self):
         g = random_connected_graph(10, 0.4, seed=19)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(23)
         x = rng.normal(size=(10, 7))
         p = EncoderParams(weights=np.eye(7), alpha=0.5, horizon=4.0)
@@ -158,7 +154,7 @@ class TestForward:
 
     def test_relu_default(self):
         g = random_connected_graph(8, 0.4, seed=29)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(31)
         x = rng.normal(size=(8, 4))
         p = EncoderParams(weights=rng.normal(size=(4, 4)), alpha=0.7, horizon=1.0)
@@ -167,7 +163,7 @@ class TestForward:
 
     def test_dimension_errors(self):
         g = random_connected_graph(8, 0.4, seed=29)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         p = EncoderParams(weights=np.eye(4), alpha=0.7, horizon=1.0)
         with pytest.raises(ValueError):
             encoder_forward(basis, np.zeros((8, 5)), p)
@@ -180,7 +176,7 @@ class TestForward:
 class TestBank:
     def test_order_preserved(self):
         g = random_connected_graph(8, 0.4, seed=37)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(41)
         x = rng.normal(size=(8, 4))
         bank = init_bank(4, 4, [0.9, 0.1, 0.5], horizon=1.0, rng=rng)
@@ -189,7 +185,7 @@ class TestBank:
 
     def test_seeded_init_reproducible(self):
         g = random_connected_graph(8, 0.4, seed=37)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         x = np.random.default_rng(43).normal(size=(8, 4))
         out = []
         for _ in range(2):
@@ -202,7 +198,7 @@ class TestBank:
         # slow heavy-tailed relaxation preserves more spectral mass than
         # classical diffusion at the same horizon
         g = sbm_connected_graph(30, 3, 0.6, 0.05, seed=47)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(53)
         x = rng.normal(size=(30, 12))
         w = rng.normal(size=(12, 12)) / np.sqrt(12)
@@ -214,7 +210,7 @@ class TestBank:
 
     def test_view_distinctness(self):
         g = random_connected_graph(12, 0.4, seed=59)
-        basis = decomposed(g)
+        basis = operator_of(g, "basis")
         rng = np.random.default_rng(61)
         x = rng.normal(size=(12, 6))
         w = rng.normal(size=(6, 6))
@@ -238,11 +234,11 @@ def filter_pairs(krylov, spectral, horizon, orders=ORDERS):
         )
 
 
-def krylov_and_eigenbasis(lap, x, horizon, operator=None):
-    """filter_pairs of the Krylov filter of `operator` (by default the dense
-    `lap`) and the eigenbasis filter of `lap`, both built at `horizon`."""
-    krylov = _diffusion_filter(lap if operator is None else operator, x, horizon)
-    spectral = _diffusion_filter(eigendecompose(lap), x, horizon)
+def krylov_and_eigenbasis(g, x, horizon):
+    """filter_pairs of the Krylov filter of g's Laplacian rows and of its
+    eigenbasis filter, both built at `horizon`."""
+    krylov = _diffusion_filter(laplacian_rows(g), x, horizon)
+    spectral = _diffusion_filter(operator_of(g, "basis"), x, horizon)
     return filter_pairs(krylov, spectral, horizon)
 
 
@@ -255,29 +251,25 @@ def assert_within_1e_12_of_the_largest(pairs):
         assert err < 1e-12 * max(np.abs(wants[i]).max() for _, wants in pairs)
 
 
-def assert_matches_eigenbasis(lap, x, horizon=20.0, operator=None):
-    for gots, wants in krylov_and_eigenbasis(lap, x, horizon, operator):
+def assert_matches_eigenbasis(g, x, horizon=20.0):
+    for gots, wants in krylov_and_eigenbasis(g, x, horizon):
         for name, got, want in zip(("P", "dP/dalpha"), gots, wants):
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 1e-9, (name, rel)
 
 
 class TestFeatureFilter:
-    """The Krylov filter of the Laplacian against the eigenbasis filter."""
+    """The Krylov filter of the Laplacian's rows against the eigenbasis filter."""
 
     @pytest.fixture(scope="class")
-    def sbm60(self):
-        return sbm_connected_graph(60, 3, 0.3, 0.03, seed=71)
+    def graph_and_features(self):
+        g = sbm_connected_graph(60, 3, 0.3, 0.03, seed=71)
+        return g, np.random.default_rng(73).normal(size=(60, 5))
 
     @pytest.fixture(scope="class")
-    def graph_and_features(self, sbm60):
-        x = np.random.default_rng(73).normal(size=(60, 5))
-        return normalized_laplacian(sbm60), x
-
-    @pytest.fixture(scope="class")
-    def rows(self, sbm60):
-        # graph_and_features' Laplacian as train and embed build it
-        return laplacian_rows(sbm60)
+    def rows_and_features(self, graph_and_features):
+        g, x = graph_and_features
+        return laplacian_rows(g), x
 
     @pytest.fixture(scope="class")
     def pipeline_graph(self):
@@ -287,24 +279,21 @@ class TestFeatureFilter:
             class_mean_separation=0.36, noise_sigma=1.0, seed=1,
         )
         ds = data.synth_sbm(spec)
-        return normalized_laplacian(ds.graph), ds.features, laplacian_rows(ds.graph)
+        return laplacian_rows(ds.graph), ds.features
 
     @pytest.mark.parametrize("horizon", [2.0, 20.0, 100.0])
-    def test_chebyshev_matches_eigenbasis(self, graph_and_features, rows, horizon):
-        # named for the filter that the Krylov one replaced; same 1e-9 bound
-        for operator in (None, rows):
-            assert_matches_eigenbasis(*graph_and_features, horizon, operator)
+    def test_krylov_matches_eigenbasis(self, graph_and_features, horizon):
+        assert_matches_eigenbasis(*graph_and_features, horizon)
 
     @pytest.mark.parametrize("horizon", [300.0, 1e3, 1e4])
     def test_long_horizons_match_within_1e_12_of_the_largest(
-        self, graph_and_features, rows, horizon
+        self, graph_and_features, horizon
     ):
         # at long horizons dP/dalpha at order 1 is about exp(-T lam_2), so a
         # relative error measures only rounding: judge by the largest value
-        for operator in (None, rows):
-            assert_within_1e_12_of_the_largest(
-                krylov_and_eigenbasis(*graph_and_features, horizon, operator)
-            )
+        assert_within_1e_12_of_the_largest(
+            krylov_and_eigenbasis(*graph_and_features, horizon)
+        )
 
     @pytest.fixture(scope="class")
     def block_model_300(self):
@@ -314,102 +303,91 @@ class TestFeatureFilter:
             class_mean_separation=0.36, noise_sigma=1.0, seed=1,
         )
         ds = data.synth_sbm(spec)
-        lap = normalized_laplacian(ds.graph)
-        spectral = _diffusion_filter(eigendecompose(lap), ds.features, 0.0)
-        return (lap, laplacian_rows(ds.graph)), ds.features, spectral
+        spectral = _diffusion_filter(operator_of(ds.graph, "basis"), ds.features, 0.0)
+        return laplacian_rows(ds.graph), ds.features, spectral
 
     @pytest.mark.parametrize("built_at", [20.0, 1e3])
     def test_serves_every_shorter_horizon(self, block_model_300, built_at):
         # grad_loss and bank_forward build one filter at the longest horizon
-        operators, x, spectral = block_model_300
+        rows, x, spectral = block_model_300
         orders = np.geomspace(1e-4, 1.0, 15)
-        for operator in operators:
-            krylov = _diffusion_filter(operator, x, built_at)
-            for used_at in (1e-4, 0.01, 1.0, 5.0, 20.0, 100.0, 1e3):
-                if used_at <= built_at:
-                    assert_within_1e_12_of_the_largest(
-                        filter_pairs(krylov, spectral, used_at, orders)
-                    )
+        krylov = _diffusion_filter(rows, x, built_at)
+        for used_at in (1e-4, 0.01, 1.0, 5.0, 20.0, 100.0, 1e3):
+            if used_at <= built_at:
+                assert_within_1e_12_of_the_largest(
+                    filter_pairs(krylov, spectral, used_at, orders)
+                )
 
     def test_zero_state_gives_zeros(self, graph_and_features):
-        lap, x = graph_and_features
+        g, x = graph_and_features
         zero = np.zeros_like(x)
-        for gots, wants in krylov_and_eigenbasis(lap, zero, 20.0):
+        for gots, wants in krylov_and_eigenbasis(g, zero, 20.0):
             for got, want in zip(gots, wants):
                 assert got.shape == want.shape and not np.any(got) and not np.any(want)
 
     def test_zero_and_duplicate_columns_deflate(self, graph_and_features):
-        lap, x = graph_and_features
+        g, x = graph_and_features
         x = np.column_stack([x[:, :3], np.zeros(len(x)), x[:, 1]])
-        assert_matches_eigenbasis(lap, x)
-        assert _diffusion_filter(lap, x, 20.0).nodes.size % 3 == 0
+        assert_matches_eigenbasis(g, x)
+        assert _diffusion_filter(laplacian_rows(g), x, 20.0).nodes.size % 3 == 0
 
     @pytest.mark.parametrize("width", [60, 70])
     def test_as_many_features_as_nodes(self, graph_and_features, width):
-        lap, _ = graph_and_features
+        g, _ = graph_and_features
         x = np.random.default_rng(width).normal(size=(60, width))
-        assert_matches_eigenbasis(lap, x)
+        assert_matches_eigenbasis(g, x)
         # the first block spans the whole space, which is invariant
-        assert _diffusion_filter(lap, x, 20.0).nodes.size == 60
+        assert _diffusion_filter(laplacian_rows(g), x, 20.0).nodes.size == 60
 
     def test_isolated_node(self):
         g = random_connected_graph(12, 0.4, seed=89)
         edges = zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
-        lap = normalized_laplacian(build_graph(13, list(edges)))
-        assert_matches_eigenbasis(lap, np.random.default_rng(3).normal(size=(13, 4)))
+        g = build_graph(13, list(edges))
+        assert_matches_eigenbasis(g, np.random.default_rng(3).normal(size=(13, 4)))
 
-    def test_combinatorial_laplacian_matches_its_eigenbasis(self):
-        adj = random_connected_graph(12, 0.4, seed=89).adjacency
-        combinatorial = np.diag(adj.sum(axis=1)) - adj
-        x = np.random.default_rng(97).normal(size=(12, 4))
-        assert_matches_eigenbasis(combinatorial, x)
-
-    @pytest.mark.parametrize("operator", ["negated", "adjacency"])
-    def test_indefinite_operator_rejected(self, operator):
-        g = random_connected_graph(12, 0.4, seed=89)
-        op = -normalized_laplacian(g) if operator == "negated" else g.adjacency
+    def test_indefinite_operator_rejected(self):
+        # tripled edge entries give 3 L - 2 I, whose spectrum reaches -2
+        rows = laplacian_rows(random_connected_graph(12, 0.4, seed=89))
+        tripled = LaplacianRows(rows.indptr, rows.cols, 3.0 * rows.vals)
         x = np.random.default_rng(97).normal(size=(12, 4))
         p = EncoderParams(weights=np.eye(4), alpha=0.5, horizon=20.0)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            encoder_forward(op, x, p)
+            encoder_forward(tripled, x, p)
 
-    def test_asymmetric_operator_rejected(self, graph_and_features):
-        lap, x = graph_and_features
-        skewed = lap.copy()
-        skewed[0, 1] += 0.5
+    def test_asymmetric_operator_rejected(self, rows_and_features):
+        rows, x = rows_and_features
+        vals = rows.vals.copy()
+        vals[0] += 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            _diffusion_filter(skewed, x, 20.0)
+            _diffusion_filter(LaplacianRows(rows.indptr, rows.cols, vals), x, 20.0)
 
     def test_pipeline_graph_takes_at_most_20_products(self, pipeline_graph):
-        lap, x, rows = pipeline_graph
-        for operator in (lap, rows):
-            filt = _diffusion_filter(operator, x, 20.0)
-            # random features deflate nothing, so each product adds F columns
-            assert filt.vectors.shape[1] % x.shape[1] == 0
-            assert filt.vectors.shape[1] <= 20 * x.shape[1]
+        rows, x = pipeline_graph
+        filt = _diffusion_filter(rows, x, 20.0)
+        # random features deflate nothing, so each product adds F columns
+        assert filt.vectors.shape[1] % x.shape[1] == 0
+        assert filt.vectors.shape[1] <= 20 * x.shape[1]
 
     def test_build_peak_is_a_few_bases(self, pipeline_graph):
-        # measured 2.4 times the kept Ritz vectors, dense or by rows; an n x n
-        # temporary would be 16 times
-        lap, x, rows = pipeline_graph
-        for operator in (lap, rows):
-            filt, peak = traced_peak(lambda: _diffusion_filter(operator, x, 20.0))
-            assert peak < 3.0 * filt.vectors.nbytes
+        # measured 2.4 times the kept Ritz vectors; an n x n temporary would
+        # be 16 times
+        rows, x = pipeline_graph
+        filt, peak = traced_peak(lambda: _diffusion_filter(rows, x, 20.0))
+        assert peak < 3.0 * filt.vectors.nbytes
 
-    def test_block_cap_is_named(self, graph_and_features, monkeypatch):
+    def test_block_cap_is_named(self, rows_and_features, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_BLOCKS", 2)
         with pytest.raises(ValueError, match="within 2 blocks"):
-            _diffusion_filter(*graph_and_features, 20.0)
+            _diffusion_filter(*rows_and_features, 20.0)
 
     @pytest.mark.parametrize("horizon", [np.inf, np.nan])
-    def test_unresolvable_horizon_rejected(self, graph_and_features, horizon):
-        lap, x = graph_and_features
+    def test_unresolvable_horizon_rejected(self, rows_and_features, horizon):
         with pytest.raises(ValueError, match="horizon"):
-            _diffusion_filter(lap, x, horizon)
+            _diffusion_filter(*rows_and_features, horizon)
 
-    def test_zero_horizon_is_the_identity(self, graph_and_features):
-        lap, x = graph_and_features
-        identity = _diffusion_filter(lap, x, 0.0)
+    def test_zero_horizon_is_the_identity(self, rows_and_features):
+        rows, x = rows_and_features
+        identity = _diffusion_filter(rows, x, 0.0)
         assert np.abs(identity.apply(np.ones(identity.nodes.size)) - x).max() < 1e-13
 
     def test_very_long_horizon_matches_within_1e_12_of_the_largest(
@@ -417,13 +395,10 @@ class TestFeatureFilter:
     ):
         assert_within_1e_12_of_the_largest(krylov_and_eigenbasis(*graph_and_features, 1e5))
 
-    @pytest.mark.parametrize("operator", ["basis", "laplacian", "rows"])
-    def test_value_only_apply_matches_the_pair(
-        self, graph_and_features, rows, operator
-    ):
-        lap, x = graph_and_features
-        forms = {"basis": eigendecompose(lap), "laplacian": lap, "rows": rows}
-        filt = _diffusion_filter(forms[operator], x, 20.0)
+    @pytest.mark.parametrize("operator", ["basis", "rows"])
+    def test_value_only_apply_matches_the_pair(self, graph_and_features, operator):
+        g, x = graph_and_features
+        filt = _diffusion_filter(operator_of(g, operator), x, 20.0)
         for alpha in (TrainConfig.clip_eps, 0.3, 1.0):
             value, deriv = ml_spectrum(alpha, filt.nodes, 20.0)
             got = filt.apply(value)
@@ -432,23 +407,23 @@ class TestFeatureFilter:
 
     def test_bank_forward_through_the_laplacian(self):
         g = random_connected_graph(12, 0.4, seed=79)
-        lap = normalized_laplacian(g)
         rng = np.random.default_rng(83)
         x = rng.normal(size=(12, 4))
         bank = init_bank(4, 4, [0.05, 0.5, 1.0], horizon=20.0, rng=rng)
-        want = bank_forward(eigendecompose(lap), x, bank)
-        for operator in (lap, laplacian_rows(g)):
-            got = bank_forward(operator, x, bank)
-            for v_want, v_got in zip(want, got):
-                assert v_got.source_alpha == v_want.source_alpha
-                assert np.max(np.abs(v_got.matrix - v_want.matrix)) < 1e-12
+        want = bank_forward(operator_of(g, "basis"), x, bank)
+        got = bank_forward(laplacian_rows(g), x, bank)
+        for v_want, v_got in zip(want, got):
+            assert v_got.source_alpha == v_want.source_alpha
+            assert np.max(np.abs(v_got.matrix - v_want.matrix)) < 1e-12
 
     def test_operator_shape_checked(self):
         p = EncoderParams(weights=np.eye(3), alpha=0.5, horizon=1.0)
-        with pytest.raises(ValueError, match="square"):
-            encoder_forward(np.zeros((4, 5)), np.zeros((4, 3)), p)
+        # np.eye(4) is the dense Laplacian of four isolated nodes
+        with pytest.raises(TypeError, match="SpectralBasis or LaplacianRows"):
+            encoder_forward(np.eye(4), np.zeros((4, 3)), p)
+        rows = laplacian_rows(random_connected_graph(5, 0.6, seed=1))
         with pytest.raises(ValueError, match="n_nodes"):
-            encoder_forward(np.eye(5), np.zeros((4, 3)), p)
+            encoder_forward(rows, np.zeros((4, 3)), p)
 
 
 class TestCombine:

@@ -15,7 +15,6 @@ from scipy.special import digamma, erfcx
 
 from fracgcl.special import (
     _tail_coeffs,
-    gamma,
     ml,
     ml_spectrum,
     zeta,
@@ -24,15 +23,12 @@ from fracgcl.special import (
 from oracles import (
     dml_oracle,
     dml_oracle_laplace,
-    gamma_oracle,
     ml_asymptotic_oracle,
     ml_oracle,
     ml_oracle_laplace,
     tail_coeffs_oracle,
     zeta_oracle,
 )
-
-SQRT_PI = 1.7724538509055160273
 
 # oracle-frozen kernel values: (alpha, lam, t) -> e_alpha(lam, t)
 ML_FROZEN = {
@@ -58,26 +54,6 @@ DML_FROZEN = {
     (0.9, 1.7, 20.0): -0.06020882550449628584056,
     (0.45, 1.2, 3.3): -0.4322426193757924769168,
 }
-
-
-class TestGamma:
-    def test_known_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, abs=1e-14)
-        assert gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-14)
-        # reflection: Gamma(-0.5) = -2 sqrt(pi)
-        assert gamma(-0.5) == pytest.approx(-3.544907701811032054596, rel=1e-13)
-
-    def test_poles_rejected(self):
-        for x in (0.0, -1.0, -2.0, -7.0):
-            with pytest.raises(ValueError):
-                gamma(x)
-
-    def test_accuracy_grid(self):
-        # relative error < 1e-12 on [-10, 30] away from pole neighbourhoods
-        xs = [x for x in np.arange(-9.75, 30.0, 0.25) if abs(x - round(x)) > 0.2 or x > 0.5]
-        for x in xs:
-            ref = gamma_oracle(x)
-            assert gamma(x) == pytest.approx(ref, rel=1e-12)
 
 
 class TestZeta:
@@ -236,7 +212,7 @@ class TestDmlDalpha:
                 (-lam) ** n
                 * n
                 * -digamma(alpha * n + 1.0)
-                / gamma(alpha * n + 1.0)
+                / math.gamma(alpha * n + 1.0)
             )
             total += term
         assert ml_spectrum(alpha, [lam], 1.0)[1][0] == pytest.approx(total, rel=1e-9)

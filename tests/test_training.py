@@ -4,30 +4,26 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import cycle_graph, random_connected_graph, sbm_connected_graph
+from conftest import (
+    cycle_graph,
+    operator_of,
+    random_connected_graph,
+    sbm_connected_graph,
+)
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from oracles import fd_grad, total_loss
 
 from fracgcl import training
 from fracgcl.encoder import EncoderBank, EncoderParams, encoder_forward, init_bank
-from fracgcl.graphs import eigendecompose, laplacian_rows, normalized_laplacian
 from fracgcl.losses import DegenerateEmbeddingError, NoSpectralGapError, dominant_direction
 from fracgcl.solver import _diffusion_filter
 from fracgcl.training import TrainConfig, avla, grad_loss, merge_alphas
 
 
-def operator_of(g, form):
-    """The eigenbasis ("basis"), the dense Laplacian ("laplacian") or its rows."""
-    if form == "rows":
-        return laplacian_rows(g)
-    lap = normalized_laplacian(g)
-    return eigendecompose(lap) if form == "basis" else lap
-
-
 @pytest.fixture(scope="module")
 def cyc10_basis():
-    return eigendecompose(normalized_laplacian(cycle_graph(10)))
+    return operator_of(cycle_graph(10), "basis")
 
 
 class TestTrainConfig:
@@ -139,7 +135,7 @@ class TestGradLoss:
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     def test_analytic_matches_finite_difference(self, seed, eta):
         g = random_connected_graph(12, 0.35, seed=seed)
-        basis = eigendecompose(normalized_laplacian(g))
+        basis = operator_of(g, "basis")
         x = np.random.default_rng(100 + seed).normal(size=(12, 4))
         bank = init_bank(4, 3, [0.3, 0.7, 1.0], 2.0, np.random.default_rng(seed))
         for activation in ("relu", "identity"):
@@ -165,8 +161,8 @@ class TestGradLoss:
         n=6, alphas=[1e-4, 1.0], d_in=2, width=2, horizon=2.0, eta=0.5,
         activation="relu", seed=4,
     )
-    # the eigenbasis filter, and the Krylov filter of the Laplacian and its rows
-    @pytest.mark.parametrize("operator", ["basis", "laplacian", "rows"])
+    # the eigenbasis filter, and the Krylov filter of the Laplacian's rows
+    @pytest.mark.parametrize("operator", ["basis", "rows"])
     def test_analytic_matches_finite_difference_on_random_banks(
         self, operator, n, alphas, d_in, width, horizon, eta, activation, seed
     ):
@@ -195,7 +191,7 @@ class TestGradLoss:
         assert _max_tensor_gap(ga, gf) < 1e-7
 
     # a batched path that assumed one horizon for the bank would fail here
-    @pytest.mark.parametrize("operator", ["basis", "laplacian", "rows"])
+    @pytest.mark.parametrize("operator", ["basis", "rows"])
     @pytest.mark.parametrize("eta", [0.0, 0.5])
     def test_mixed_horizons_match_finite_difference(self, operator, eta):
         op = operator_of(random_connected_graph(12, 0.35, seed=6), operator)
@@ -227,7 +223,7 @@ class TestGradLoss:
 
 
 class TestLossAndGrads:
-    @pytest.mark.parametrize("operator", ["basis", "laplacian", "rows"])
+    @pytest.mark.parametrize("operator", ["basis", "rows"])
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_loss_is_total_loss_of_its_views(self, operator, eta, monkeypatch):
         op = operator_of(sbm_connected_graph(24, 3, 0.6, 0.1, seed=2), operator)
@@ -273,9 +269,9 @@ class TestAvla:
                 2.0205727782229657,
             ),
             (
-                "laplacian",
-                "22ace4ab3842a01decb727a5f523a661517de5e74c8cb91b0728f29c385b71f1",
-                2.020572778222934,
+                "rows",
+                "63ede6e396c99fbaa92956774b6475344b4dc1c30ee917887f1e5ca4c7731e37",
+                2.020572778222952,
             ),
         ],
     )
@@ -287,17 +283,15 @@ class TestAvla:
         assert len(report.merge_events) == 1
         assert h.hexdigest() == digest
         assert report.losses[-1] == pytest.approx(last_loss, rel=1e-15, abs=0.0)
-        if operator == "laplacian":
-            # the Krylov filter's runs, dense and by rows, agree with the
-            # eigenbasis run
+        if operator == "rows":
+            # the Krylov filter's run agrees with the eigenbasis run
             want_finals, want_bank, want_report = self.pinned_run("basis")
-            for finals, bank, report in ((finals, bank, report), self.pinned_run("rows")):
-                assert np.abs(np.subtract(finals, want_finals)).max() < 1e-12
-                for got, want in zip(bank.encoders, want_bank.encoders):
-                    assert np.abs(got.weights - want.weights).max() < 1e-12
-                assert report.losses[-1] == pytest.approx(
-                    want_report.losses[-1], rel=1e-13, abs=0.0
-                )
+            assert np.abs(np.subtract(finals, want_finals)).max() < 1e-12
+            for got, want in zip(bank.encoders, want_bank.encoders):
+                assert np.abs(got.weights - want.weights).max() < 1e-12
+            assert report.losses[-1] == pytest.approx(
+                want_report.losses[-1], rel=1e-13, abs=0.0
+            )
 
     def test_separated_orders_terminate_in_one_round(self, cyc10_basis):
         x = np.random.default_rng(0).normal(size=(10, 3))
@@ -375,7 +369,7 @@ class TestAvla:
 
     def test_loss_decreases_over_first_epoch(self):
         g = sbm_connected_graph(24, 3, 0.6, 0.1, seed=9)
-        basis = eigendecompose(normalized_laplacian(g))
+        basis = operator_of(g, "basis")
         x = np.random.default_rng(10).normal(size=(24, 5))
         cfg = TrainConfig(k_init=3, epochs_n=2, lr_w=1e-3, lr_alpha=1e-3, seed=12)
         _, _, _, report = avla(basis, x, cfg, horizon=2.0)
