@@ -19,8 +19,9 @@ the merged configuration minus ``output_dir`` and ``threads``, the seed,
 library versions, wall time, and whether a ``--threads`` cap took effect.
 ``train`` and ``embed`` diffuse through the Krylov filter of the normalized
 Laplacian's edge rows (``graphs.LaplacianRows``), with no eigendecomposition
-and no n x n array; ``train`` writes the losses, order traces and merges to
-``report.json``.  Sizes, counts and indices must be
+and no n x n array, and free the graph once its rows exist (``train`` frees
+the rows once the filter is built); ``train`` writes the losses, order
+traces and merges to ``report.json``.  Sizes, counts and indices must be
 integral (``6.0`` is 6; ``6.9`` and ``true`` are rejected, naming the key).
 All files are written atomically and only inside the output directory.
 
@@ -63,8 +64,8 @@ from .encoder import (
     combine_views,
 )
 from .graphs import eigendecompose, laplacian_rows, normalized_laplacian
-from .solver import solve_linear_spectral
-from .training import TrainConfig, avla
+from .solver import _diffusion_filter, solve_linear_spectral
+from .training import TrainConfig, _avla
 
 
 def _field_defaults(cls) -> dict:
@@ -295,21 +296,23 @@ def cmd_synth(cfg: dict, args: argparse.Namespace) -> None:
     )
 
 
-def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
+def _rows_and_features(cfg: dict):
+    """The dataset's Laplacian rows and features; the rest of it is freed."""
     ds = _load_dataset(cfg)
+    return laplacian_rows(ds.graph), ds.features
+
+
+def cmd_train(cfg: dict, args: argparse.Namespace) -> None:
     section = dict(cfg["train"])
     horizon = float(section.pop("horizon"))
     d_hid = section.pop("d_hid")
+    if d_hid is not None and d_hid < 1:
+        raise ValueError(f"train.d_hid must be positive, got {d_hid}")
     activation = section.pop("activation")
-    # the Krylov filter of the Laplacian's rows: no eigendecomposition
-    _, _, bank, report = avla(
-        laplacian_rows(ds.graph),
-        ds.features,
-        TrainConfig(seed=cfg["seed"], **section),
-        horizon,
-        d_hid=d_hid,
-        activation=activation,
-    )
+    train_cfg = TrainConfig(seed=cfg["seed"], **section)
+    # all that training needs of the graph is the filter: the rows are a temporary
+    filt = _diffusion_filter(*_rows_and_features(cfg), horizon)
+    _, _, bank, report = _avla(filt, train_cfg, horizon, d_hid, activation=activation)
     dio.save_report(report, _out_path(cfg, "report.json"))
     meta = {
         "alphas": bank.alphas,
@@ -366,13 +369,13 @@ def _load_bank(bank_dir: str) -> tuple[EncoderBank, str]:
 def cmd_embed(cfg: dict, args: argparse.Namespace) -> None:
     bank_dir = cfg["embed"]["bank_dir"] or cfg["output_dir"]
     bank, activation = _load_bank(bank_dir)
-    ds = _load_dataset(cfg)
-    lap = laplacian_rows(ds.graph)
-    views = bank_forward(lap, ds.features, bank, activation=activation)
-    beta = cfg["embed"]["beta"]
-    if beta is None:
-        beta = np.full(len(views), 1.0 / len(views))
-    beta = np.asarray(beta, dtype=float)
+    k, beta = len(bank), cfg["embed"]["beta"]
+    beta = np.full(k, 1.0 / k) if beta is None else np.asarray(beta, dtype=float)
+    if beta.shape != (k,):
+        raise ValueError(
+            f"embed.beta needs one weight per view: {k} views, got shape {beta.shape}"
+        )
+    views = bank_forward(*_rows_and_features(cfg), bank, activation=activation)
     combined = combine_views(views, beta)
     for k, view in enumerate(views):
         dio.save_matrix(view.matrix, _out_path(cfg, f"view{k}.fdmv"))
@@ -389,6 +392,9 @@ def cmd_probe(cfg: dict, args: argparse.Namespace) -> None:
     ds = _load_dataset(cfg)
     section = cfg["probe"]
     y = _embedding_or_features(section, ds)
+    if len(y) != len(ds.labels):  # only a loaded embedding can differ
+        n, path = len(ds.labels), section["embedding"]
+        raise ValueError(f"{path}: embedding has {len(y)} rows for {n} nodes")
     knobs = {key: value for key, value in section.items() if key != "embedding"}
     probe_cfg = ProbeConfig(**knobs)
     train_acc, val_acc, test_acc = linear_probe(y, ds.labels, ds.splits, probe_cfg)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .graphs import Graph, _check_edges, build_graph
+from .graphs import Graph, _check_edges, _graph_of, build_graph
 
 __all__ = [
     "Dataset",
@@ -410,15 +410,16 @@ def _body_lines(path: str) -> tuple[np.ndarray, list[str]]:
     return 2 + np.array([a for a, _ in spans], dtype=int), rows
 
 
-def _read_edges(path: str, n: int) -> np.ndarray:
-    """Checked (k, 3) edges of an edges CSV; errors name the first bad line."""
-    (src, dst, w), where = _read_csv(
+def _read_edges(path: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked src, dst and weight columns of an edges CSV, each contiguous
+    (int64, int64, float64); errors name the first bad line."""
+    columns, where = _read_csv(
         path,
         {"src": "i8", "dst": "i8", "weight": "f8"},
         lambda line, _: f"malformed edge {line!r}",
     )
-    _check_edges(n, src, dst, w, where)
-    return np.column_stack((src, dst, w))
+    _check_edges(n, *columns, where)
+    return tuple(np.ascontiguousarray(c) for c in columns)
 
 
 def _read_labels(path: str, n: int) -> np.ndarray:
@@ -443,11 +444,12 @@ def load_dataset(
     """Assemble a Dataset from the four on-disk pieces.
 
     The node count comes from the feature file; every other file is
-    validated against it.  All failures carry the file and line.
+    validated against it.  All failures carry the file and line.  Edges in
+    canonical order, as save_dataset writes them, become the graph without a re-sort.
     """
     features = load_matrix(feature_path, fmt="csv")
     n = features.shape[0]
-    graph = build_graph(n, _read_edges(edge_path, n))
+    graph = _graph_of(n, *_read_edges(edge_path, n))
     labels = _read_labels(label_path, n)
     raw = _read_json_object(split_path)
     try:

@@ -1,7 +1,8 @@
 """Graph construction, normalized Laplacian, and eigendecomposition.
 
 All graphs are undirected with positive edge weights, stored as arrays of
-their canonical edges.  The Laplacian uses symmetric normalization, which
+their canonical edges; an edge list already in that form is kept as it
+stands.  The Laplacian uses symmetric normalization, which
 keeps the eigenbasis orthonormal; isolated nodes get an identity row (their
 signals never diffuse).  It comes in two forms with the same entries: the
 dense n x n matrix that `eigendecompose` takes, and `LaplacianRows`, the
@@ -93,7 +94,9 @@ def build_graph(n: int, edge_list) -> Graph:
 
     Duplicate (src, dst) entries collapse with the last occurrence winning;
     the graph is then symmetrized by taking the maximum of the two
-    directions, and pairs left with weight zero are dropped.
+    directions, and pairs left with weight zero are dropped.  A list that
+    is already canonical (src <= dst, weight > 0, strictly row-major, as
+    `data.save_dataset` writes it) becomes the graph without a re-sort.
 
     Args:
         n: number of nodes.
@@ -108,12 +111,21 @@ def build_graph(n: int, edge_list) -> Graph:
     e = np.asarray(edge_list, dtype=float).reshape(-1, 3)
     _check_edges(n, e[:, 0], e[:, 1], e[:, 2], lambda k: f"edge {k}")
     src, dst = e[:, 0].astype(np.intp), e[:, 1].astype(np.intp)
+    return _graph_of(n, src, dst, e[:, 2].copy())  # the graph may keep it as is
+
+
+def _graph_of(n: int, src, dst, w) -> Graph:
+    """`build_graph` of checked, contiguous intp/float64 edge columns;
+    canonical ones are the graph as they stand."""
+    key = src * n + dst
+    if np.all(src <= dst) and np.all(w > 0.0) and np.all(key[1:] > key[:-1]):
+        return Graph(n, src, dst, w)
     # the last occurrence of each directed pair wins
-    last = len(e) - 1 - np.unique((src * n + dst)[::-1], return_index=True)[1]
+    last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
     key = np.minimum(src, dst)[last] * n + np.maximum(src, dst)[last]
     # sorted by pair, then weight: each pair's last entry is its larger direction
-    order = np.lexsort((e[last, 2], key))
-    key, w = key[order], e[last, 2][order]
+    order = np.lexsort((w[last], key))
+    key, w = key[order], w[last][order]
     keep = w > 0.0
     keep[:-1] &= key[1:] != key[:-1]
     src, dst = np.divmod(key[keep], n)

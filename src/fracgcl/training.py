@@ -217,9 +217,14 @@ def avla(
     merge survivor choices consume independent seeded streams so one cannot
     perturb the other.
     """
-    x = np.asarray(features, dtype=float)
-    filt = _diffusion_filter(operator, x, horizon)
-    d_in = x.shape[1]
+    filt = _diffusion_filter(operator, features, horizon)
+    return _avla(filt, cfg, horizon, d_hid, alpha_init, activation)
+
+
+def _avla(filt, cfg, horizon, d_hid=None, alpha_init=None, activation="relu"):
+    """`avla` on a built features-side filter, which is all it needs of the
+    operator and the features: a caller may free both before training."""
+    d_in = filt.coords.shape[1]  # the features' column count
     width = d_in if d_hid is None else d_hid
     init_stream, merge_stream = np.random.SeedSequence(cfg.seed).spawn(2)
     init_rng = np.random.default_rng(init_stream)

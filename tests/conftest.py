@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fracgcl.graphs import (
     build_graph,
@@ -12,6 +13,16 @@ from fracgcl.graphs import (
 )
 
 from oracles import component_count, dense_adjacency
+
+
+@st.composite
+def integer_edge_lists(draw):
+    """Valid (n, edges) with duplicates, self-loops, zero weights and, often,
+    isolated nodes; integer degrees are exact in any summation order."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    return n, draw(st.lists(st.tuples(node, node, weight), max_size=30))
 
 
 def cycle_graph(n):

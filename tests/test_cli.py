@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from conftest import traced_peak
 
 import fracgcl.cli
 import fracgcl.graphs
+import fracgcl.solver
+import fracgcl.training
 from fracgcl.cli import _COMMANDS, _DEFAULTS, main
 from fracgcl.data import (
     Dataset,
@@ -25,7 +28,7 @@ from fracgcl.data import (
     synth_sbm,
 )
 from fracgcl.encoder import bank_forward, combine_views
-from fracgcl.graphs import eigendecompose, normalized_laplacian
+from fracgcl.graphs import eigendecompose, laplacian_rows, normalized_laplacian
 from fracgcl.training import TrainConfig, avla
 
 
@@ -812,6 +815,93 @@ class TestChebyshevPath:
         for command in ("train", "embed"):
             rc, peak = traced_peak(lambda: main([command, "--config", cfg]))
             assert rc == 0 and peak < n * n * 8, (command, peak)
+
+
+class TestGraphLifetimes:
+    """train and embed hold one form of the graph at a time."""
+
+    @staticmethod
+    def _spy_rows(monkeypatch):
+        refs = []
+
+        def spy(g):
+            rows = laplacian_rows(g)
+            refs.extend((weakref.ref(g), weakref.ref(rows)))
+            return rows
+
+        monkeypatch.setattr(fracgcl.cli, "laplacian_rows", spy)
+        return refs
+
+    @staticmethod
+    def _alive_at_first_call(monkeypatch, module, name, refs):
+        alive = []
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            if not alive:
+                alive.append([ref() is not None for ref in refs])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return alive
+
+    def test_train_frees_the_graph_and_rows_before_the_epochs(
+        self, tmp_path, dataset_dir, monkeypatch
+    ):
+        refs = self._spy_rows(monkeypatch)
+        alive = self._alive_at_first_call(
+            monkeypatch, fracgcl.training, "_loss_and_grads", refs
+        )
+        cfg = _train_config(tmp_path, dataset_dir, "run")
+        assert main(["train", "--config", cfg, "--seed", "2"]) == 0
+        assert len(refs) == 2 and alive == [[False, False]]  # graph, rows
+
+    def test_embed_frees_the_graph_before_the_krylov_build(
+        self, tmp_path, dataset_dir, monkeypatch
+    ):
+        cfg = _train_config(tmp_path, dataset_dir, "run")
+        assert main(["train", "--config", cfg, "--seed", "2"]) == 0
+        refs = self._spy_rows(monkeypatch)
+        alive = self._alive_at_first_call(
+            monkeypatch, fracgcl.solver, "_krylov_filter", refs
+        )
+        assert main(["embed", "--config", cfg, "--seed", "2"]) == 0
+        assert len(refs) == 2 and alive == [[False, True]]  # graph, rows
+
+
+class TestErrorsNameTheirSource:
+    def test_nonpositive_d_hid_names_the_key(self, tmp_path, dataset_dir, capsys):
+        cfg = _train_config(tmp_path, dataset_dir, "run")
+        assert main(["train", "--config", cfg, "--set", "train.d_hid=0"]) == 1
+        assert "error: train.d_hid must be positive, got 0" in capsys.readouterr().err
+
+    def test_embedding_of_other_row_count_names_the_file(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        path = str(tmp_path / "w0.fdmv")
+        save_matrix(np.ones((8, 3)), path)
+        cfg = _write_config(
+            tmp_path,
+            "probe.json",
+            {
+                "dataset": _dataset_section(dataset_dir),
+                "probe": {"embedding": path},
+                "output_dir": str(tmp_path / "o"),
+            },
+        )
+        assert main(["probe", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: embedding has 8 rows for 24 nodes" in err
+
+    def test_beta_of_other_length_names_the_key(self, tmp_path, dataset_dir, capsys):
+        cfg = _train_config(tmp_path, dataset_dir, "run")
+        assert main(["train", "--config", cfg, "--seed", "2"]) == 0
+        k = len(_read_json(tmp_path / "run" / "bank.json")["alphas"])
+        beta = json.dumps([1.0 / (k + 1)] * (k + 1))
+        assert main(["embed", "--config", cfg, "--set", f"embed.beta={beta}"]) == 1
+        want = f"embed.beta needs one weight per view: {k} views, got shape ({k + 1},)"
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "run" / "combined.fdmv").exists()
 
 
 class TestManifestHash:

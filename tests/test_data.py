@@ -1,10 +1,14 @@
 import hashlib
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
-from conftest import traced_peak
-from oracles import component_count, dense_adjacency
+from conftest import integer_edge_lists, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import adjacency_oracle, component_count, dense_adjacency
 
 from fracgcl.data import (
     Dataset,
@@ -436,15 +440,69 @@ class TestDatasetFiles:
 
     def test_edges_parse_from_the_open_file(self, tmp_path):
         # 120k edges: parsing the file's split lines peaked at 5.1 times the
-        # (k, 3) result, parsing from the open file at 2.0 times
+        # result (24 bytes an edge), parsing from the open file at 2.0 times
         spec = _spec(n=2000, n_blocks=2, p_in=0.02, p_out=0.1, feature_dim=8, seed=0)
         ds = synth_sbm(spec)
         paths = self._paths(tmp_path)
         save_dataset(ds, *paths)
-        edges, peak = traced_peak(lambda: _read_edges(paths[0], 2000))
+        columns, peak = traced_peak(lambda: _read_edges(paths[0], 2000))
         g = ds.graph
-        assert np.array_equal(edges, np.column_stack((g.src, g.dst, g.weight)))
-        assert peak < 3 * edges.nbytes
+        for got, want in zip(columns, (g.src, g.dst, g.weight)):
+            assert np.array_equal(got, want) and got.flags.c_contiguous
+        nbytes = sum(c.nbytes for c in columns)
+        assert nbytes == 24 * g.src.size
+        assert peak < 3 * nbytes
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=integer_edge_lists(), data=st.data())
+    def test_loaded_graph_is_the_built_graph(self, case, data):
+        # canonical files take the fast path; every other form is deduped
+        n, edges = case
+        canon = list(build_graph(n, edges).edges)
+        rows = data.draw(
+            st.sampled_from(
+                [
+                    edges,  # as drawn: duplicates, zero weights, self-loops
+                    canon,
+                    data.draw(st.permutations(canon)),
+                    [(d, s, w) for s, d, w in canon],  # the lower triangle
+                ]
+            )
+        )
+        if rows and data.draw(st.booleans()):  # repeat a row: the last one wins
+            k = data.draw(st.integers(0, len(rows) - 1))
+            repeat = (*rows[k][:2], data.draw(st.sampled_from([0.0, 5.0])))
+            rows = [*rows[: k + 1], repeat, *rows[k + 1 :]]
+        ref = build_graph(n, rows)
+        expected = tuple(
+            (i, j, w)
+            for i, row in enumerate(adjacency_oracle(n, rows))
+            for j, w in enumerate(row)
+            if j >= i and w > 0.0
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = self._paths(pathlib.Path(tmp))
+            body = "".join(f"{s},{d},{w!r}\n" for s, d, w in rows)
+            pathlib.Path(paths[0]).write_text("src,dst,weight\n" + body)
+            save_matrix(np.zeros((n, 1)), paths[1])
+            pathlib.Path(paths[2]).write_text("node,label\n")
+            pathlib.Path(paths[3]).write_text("{}")
+            g = load_dataset(*paths).graph
+        assert g.n_nodes == n and g.edges == ref.edges == expected
+        for got, want in zip((g.src, g.dst, g.weight), (ref.src, ref.dst, ref.weight)):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert g.src.dtype == g.dst.dtype == np.intp and g.weight.dtype == np.float64
+
+    def test_canonical_file_loads_without_a_sort(self, tmp_path, monkeypatch):
+        ds = synth_sbm(_spec())
+        paths = self._paths(tmp_path)
+        save_dataset(ds, *paths)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lexsort called")
+
+        monkeypatch.setattr(np, "lexsort", refuse)
+        assert load_dataset(*paths).graph.edges == ds.graph.edges
 
     def test_roundtrip_equality(self, tmp_path):
         ds = synth_sbm(_spec())

@@ -15,7 +15,7 @@ from fracgcl.graphs import (
     normalized_laplacian,
 )
 
-from conftest import traced_peak
+from conftest import integer_edge_lists, traced_peak
 from oracles import (
     adjacency_oracle,
     component_count,
@@ -54,16 +54,6 @@ def edge_lists(draw):
         )
         edges.insert(draw(st.integers(0, len(edges))), bad)
     return n, edges
-
-
-@st.composite
-def integer_edge_lists(draw):
-    """Valid (n, edges) with duplicates, self-loops, zero weights and, often,
-    isolated nodes; integer degrees are exact in any summation order."""
-    n = draw(st.integers(1, 7))
-    node = st.integers(0, n - 1)
-    weight = st.sampled_from([0.0, 1.0, 2.0, 3.0])
-    return n, draw(st.lists(st.tuples(node, node, weight), max_size=30))
 
 
 class TestBuildGraph:
